@@ -30,7 +30,6 @@ from .efficiency import (
     a_value_float,
     average_variance,
     efficiency_spectrum,
-    information_matrix,
     robustness,
     round_decimal,
     square_lattice_bound,
@@ -53,7 +52,7 @@ from .isomorphism import (
     is_sylvester_design,
     same_spectrum,
 )
-from .search import SearchConfig, SearchResult, anneal, objective, random_resolvable
+from .search import SearchConfig, SearchResult, anneal, random_resolvable
 from .sylvester import (
     Graph36,
     enumerate_one_factorizations,
@@ -94,11 +93,9 @@ __all__ = [
     "enumerate_one_factorizations",
     "galaxy",
     "gamma_design",
-    "information_matrix",
     "is_semi_latin",
     "is_sylvester_design",
     "latin_squares",
-    "objective",
     "random_resolvable",
     "read_design",
     "resolution",

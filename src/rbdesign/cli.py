@@ -24,8 +24,8 @@ from .core import (
     ShapeMismatchError,
     dual,
     read_design,
+    require_valid,
     resolution,
-    validate,
     write_design,
 )
 from .efficiency import (
@@ -65,11 +65,13 @@ def _load_design(spec: str) -> ResolvableDesign:
         pass
     if not os.path.exists(spec):
         raise ParseError(f"{spec!r} is neither a catalog name nor an existing file")
-    with open(spec) as fh:
-        design = read_design(fh.read())
-    violations = validate(design)
-    if violations:
-        raise InvalidDesignError(violations)
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {spec!r}: {exc}") from exc
+    design = read_design(text)
+    require_valid(design)
     return design
 
 
@@ -140,13 +142,16 @@ def _cmd_evaluate(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
-    config = SearchConfig(
-        v=args.v, k=args.k, r=args.r,
-        initial_temperature=args.t0, cooling_rate=args.cooling,
-        moves_per_temperature=args.moves, min_temperature=args.tmin,
-        restarts=args.restarts, seed=args.seed,
-        time_budget=args.budget, workers=args.workers,
-    )
+    try:
+        config = SearchConfig(
+            v=args.v, k=args.k, r=args.r,
+            initial_temperature=args.t0, cooling_rate=args.cooling,
+            moves_per_temperature=args.moves, min_temperature=args.tmin,
+            restarts=args.restarts, seed=args.seed, time_budget=args.budget,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     result = anneal(config)
     pairs = [
         ("seed", str(args.seed)),
@@ -306,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--budget", type=_duration, default=None,
                    help="time budget in seconds (e.g. 60 or 60s)")
-    p.add_argument("--workers", type=int, default=defaults.workers)
     p.add_argument("--t0", type=float, default=defaults.initial_temperature,
                    help="initial temperature")
     p.add_argument("--cooling", type=float, default=defaults.cooling_rate)

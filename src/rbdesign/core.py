@@ -183,21 +183,24 @@ def require_valid(design: ResolvableDesign) -> None:
         raise InvalidDesignError(violations)
 
 
+def valid_blocks(design: ResolvableDesign | BlockDesign) -> tuple[Block, ...]:
+    """All blocks of either design type; a resolvable design is validated
+    first and raises InvalidDesignError when broken."""
+    if isinstance(design, ResolvableDesign):
+        require_valid(design)
+        return design.blocks()
+    return design.blocks
+
+
 def concurrence_matrix(design: ResolvableDesign | BlockDesign) -> np.ndarray:
     """The v x v concurrence matrix: entry (i,j) counts blocks containing both.
 
     The diagonal holds the replication count.  Entries are 0-indexed by
     variety-1.  Raises InvalidDesignError for an invalid resolvable design.
     """
-    if isinstance(design, ResolvableDesign):
-        require_valid(design)
-        v = design.v
-        blocks = design.blocks()
-        diag = design.r
-    else:
-        v = design.v
-        blocks = design.blocks
-        diag = design.replication()
+    v = design.v
+    blocks = valid_blocks(design)
+    diag = design.r if isinstance(design, ResolvableDesign) else design.replication()
     lam = np.zeros((v, v), dtype=np.int64)
     for block in blocks:
         for a, b in itertools.combinations(block, 2):
@@ -215,14 +218,8 @@ def dual(design: ResolvableDesign | BlockDesign) -> BlockDesign:
     contain it.  Resolvability of the dual is not assumed; use
     ``resolution`` to test for it.
     """
-    if isinstance(design, ResolvableDesign):
-        require_valid(design)
-        v = design.v
-        blocks = design.blocks()
-    else:
-        v = design.v
-        blocks = design.blocks
-    dual_blocks: list[list[int]] = [[] for _ in range(v)]
+    blocks = valid_blocks(design)
+    dual_blocks: list[list[int]] = [[] for _ in range(design.v)]
     for bi, block in enumerate(blocks, start=1):
         for x in block:
             dual_blocks[x - 1].append(bi)

@@ -16,6 +16,7 @@ independent symmetric eigendecomposition used as a cross-check everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,20 +46,6 @@ def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int,
     if isinstance(design, ResolvableDesign):
         return design.v, design.r, design.k
     return design.v, design.replication(), design.block_size()
-
-
-def information_matrix(lam: np.ndarray, r: int, k: int) -> np.ndarray:
-    """Exact rational scaled information matrix I - (rk)^-1 * Lambda.
-
-    Returned as an object array of Fractions; every row sums to exactly 0.
-    """
-    v = lam.shape[0]
-    rk = r * k
-    out = np.empty((v, v), dtype=object)
-    for i in range(v):
-        for j in range(v):
-            out[i, j] = Fraction(int(rk * (i == j) - lam[i, j]), rk)
-    return out
 
 
 def _integer_information(design: ResolvableDesign | BlockDesign) -> tuple[np.ndarray, int]:
@@ -135,9 +122,6 @@ class EfficiencySpectrum:
     a_value: Fraction | None
     connected: bool
     zero_multiplicity: int
-
-    def factor_multiset(self) -> dict[Fraction | float, int]:
-        return {f.value: f.multiplicity for f in self.factors}
 
 
 def _poly_eval_int(coeffs_low: list[int], x: int) -> int:
@@ -304,15 +288,25 @@ def a_value(design: ResolvableDesign | BlockDesign) -> Fraction:
     return a
 
 
+def _reciprocal_sum(lam: np.ndarray, r: int, k: int) -> float:
+    """Sum of reciprocal canonical efficiency factors, (v-1)/A, from the
+    integer concurrence matrix by a symmetric eigendecomposition; +inf when
+    the design is disconnected."""
+    v = lam.shape[0]
+    m = np.eye(v) - lam / (r * k)
+    w = np.linalg.eigvalsh(m)
+    if w[1] < _FLOAT_ZERO_TOL:
+        return math.inf
+    return float(np.sum(1.0 / w[1:]))
+
+
 def a_value_float(design: ResolvableDesign | BlockDesign) -> float:
     """Independent A oracle via floating-point symmetric eigendecomposition."""
     v, r, k = design_parameters(design)
-    lam = concurrence_matrix(design)
-    M = np.eye(v) - lam / (r * k)
-    w = np.linalg.eigvalsh(M)
-    if w[1] < _FLOAT_ZERO_TOL:
+    total = _reciprocal_sum(concurrence_matrix(design), r, k)
+    if total == math.inf:
         raise DisconnectedDesignError("disconnected (float route)")
-    return (v - 1) / float(np.sum(1.0 / w[1:]))
+    return (v - 1) / total
 
 
 def average_variance(a: Fraction | float, r: int, sigma2: float = 1.0) -> float:

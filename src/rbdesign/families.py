@@ -245,7 +245,3 @@ def catalog_entry(name: str) -> CatalogEntry:
         if entry.name == name:
             return entry
     raise KeyError(f"no catalog design named {name!r}")
-
-
-def catalog_names() -> list[str]:
-    return [e.name for e in catalog()]

@@ -26,7 +26,7 @@ from .core import (
     ResolvableDesign,
     ShapeMismatchError,
     concurrence_matrix,
-    require_valid,
+    valid_blocks,
 )
 from .efficiency import design_parameters, scaled_polynomial
 from .sylvester import Graph36, sylvester_graph
@@ -44,14 +44,8 @@ class CanonicalForm:
 def _incidence_graph(design: ResolvableDesign | BlockDesign) -> tuple[list[list[int]], list[int], int]:
     """Colored bipartite incidence graph (varieties color 0, blocks colored
     by multiplicity).  Returns (adjacency, colors, v)."""
-    if isinstance(design, ResolvableDesign):
-        require_valid(design)
-        v = design.v
-        blocks = design.blocks()
-    else:
-        v = design.v
-        blocks = design.blocks
-    multiplicity = Counter(blocks)
+    v = design.v
+    multiplicity = Counter(valid_blocks(design))
     distinct = sorted(multiplicity)
     adj: list[list[int]] = [[] for _ in range(v + len(distinct))]
     colors = [0] * v + [multiplicity[b] for b in distinct]
@@ -83,17 +77,13 @@ def same_spectrum(d1, d2) -> bool:
     return scaled_polynomial(d1) == scaled_polynomial(d2)
 
 
-def _shape(design) -> tuple[int, int, int]:
-    return design_parameters(design)
-
-
 def are_isomorphic(d1, d2) -> bool:
     """Isomorphism test with cheap invariant rejection before canonization.
 
     Shape mismatch (v, r, k) is simply non-isomorphic; then concurrence
     row multisets and the spectrum must agree before certificates are
     compared."""
-    if _shape(d1) != _shape(d2):
+    if design_parameters(d1) != design_parameters(d2):
         return False
     m1, m2 = concurrence_matrix(d1), concurrence_matrix(d2)
     rows1 = sorted(tuple(sorted(row)) for row in m1.tolist())

@@ -9,25 +9,22 @@ the A-criterion; disconnected designs score +inf and are never accepted.
 The concurrence matrix is maintained incrementally per swap (O(k) integer
 updates, no drift to correct), with a fresh symmetric eigendecomposition per
 proposal.  Restarts use independent spawned RNG streams, so results are
-byte-identical for a fixed config no matter how restarts are scheduled;
-each restart's winner gets one exact evaluation and the overall best is
-chosen by exact A with deterministic tie-breaks.
+byte-identical for a fixed config; each restart's winner gets one exact
+evaluation and the overall best is chosen by exact A with deterministic
+tie-breaks.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import DisconnectedDesignError, ResolvableDesign, require_valid, write_design
-from .efficiency import a_value, a_value_float
-
-_EIG_ZERO_TOL = 1e-8
+from .core import DisconnectedDesignError, ResolvableDesign, write_design
+from .efficiency import _reciprocal_sum, a_value, a_value_float
 
 
 @dataclass(frozen=True)
@@ -42,18 +39,21 @@ class SearchConfig:
     restarts: int = 8
     seed: int = 0
     time_budget: float | None = None  # seconds; None = unlimited
-    workers: int = 1
-    polish: bool = True
 
     def __post_init__(self):
-        if self.v % self.k != 0:
-            raise ValueError(f"v={self.v} must be a multiple of k={self.k}")
+        if self.k < 1 or self.v < 2 * self.k or self.v % self.k != 0:
+            raise ValueError(f"v={self.v} must be a multiple of k={self.k} "
+                             "with at least two blocks per replicate")
         if not 0 < self.cooling_rate < 1:
             raise ValueError(f"cooling_rate must be in (0,1), got {self.cooling_rate}")
+        if not (self.min_temperature > 0 and math.isfinite(self.initial_temperature)):
+            raise ValueError("min_temperature must be positive and initial_temperature finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.r < 1 or self.moves_per_temperature < 1:
             raise ValueError("r and moves_per_temperature must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def random_resolvable(v: int, k: int, r: int, rng: np.random.Generator) -> ResolvableDesign:
@@ -63,24 +63,6 @@ def random_resolvable(v: int, k: int, r: int, rng: np.random.Generator) -> Resol
         perm = rng.permutation(v) + 1
         reps.append([perm[i * k : (i + 1) * k] for i in range(v // k)])
     return ResolvableDesign.from_replicates(reps, v=v, k=k, label="random")
-
-
-def _objective_from_concurrence(lam: np.ndarray, r: int, k: int) -> float:
-    v = lam.shape[0]
-    m = np.eye(v) - lam / (r * k)
-    w = np.linalg.eigvalsh(m)
-    if w[1] < _EIG_ZERO_TOL:
-        return math.inf
-    return float(np.sum(1.0 / w[1:]))
-
-
-def objective(design: ResolvableDesign) -> float:
-    """Sum of reciprocal canonical efficiency factors ((v-1)/A); +inf when
-    disconnected."""
-    require_valid(design)
-    from .core import concurrence_matrix
-
-    return _objective_from_concurrence(concurrence_matrix(design), design.r, design.k)
 
 
 @dataclass
@@ -100,13 +82,12 @@ class SearchState:
     """Mutable annealing state: blocks, concurrence matrix, objective."""
 
     def __init__(self, design: ResolvableDesign):
-        require_valid(design)
         self.v, self.k, self.r = design.v, design.k, design.r
         self.blocks = [[list(b) for b in rep] for rep in design.replicates]
         from .core import concurrence_matrix
 
         self.lam = concurrence_matrix(design)
-        self.objective = _objective_from_concurrence(self.lam, self.r, self.k)
+        self.objective = _reciprocal_sum(self.lam, self.r, self.k)
 
     def design(self, label: str = "") -> ResolvableDesign:
         return ResolvableDesign.from_replicates(self.blocks, v=self.v, k=self.k, label=label)
@@ -132,25 +113,27 @@ class SearchState:
                 lam[y - 1, a - 1] += 1
         blk_a[mv.pos_a], blk_b[mv.pos_b] = b, a
 
+    def score(self, mv: Move) -> Move:
+        """Fill mv.objective_after and mv.delta, leaving the state unchanged
+        (a swap is its own inverse)."""
+        self._swap(mv)
+        mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
+        self._swap(mv)
+        mv.delta = mv.objective_after - self.objective
+        return mv
+
     def propose(self, rng: np.random.Generator) -> Move:
-        """Propose a swap in a uniformly chosen replicate; fills mv.delta."""
+        """Score a random swap in a uniformly chosen replicate."""
         n_blocks = self.v // self.k
         ri = int(rng.integers(self.r))
         ba, bb = rng.choice(n_blocks, size=2, replace=False)
-        mv = Move(ri, int(ba), int(rng.integers(self.k)), int(bb), int(rng.integers(self.k)))
-        before = self.objective
-        self._swap(mv)
-        mv.objective_after = _objective_from_concurrence(self.lam, self.r, self.k)
-        mv.delta = mv.objective_after - before
-        self._swap(Move(mv.replicate, mv.block_a, mv.pos_a, mv.block_b, mv.pos_b))
-        return mv
+        return self.score(
+            Move(ri, int(ba), int(rng.integers(self.k)), int(bb), int(rng.integers(self.k)))
+        )
 
     def accept(self, mv: Move) -> None:
         self._swap(mv)
         self.objective = mv.objective_after
-
-    def recompute(self) -> None:
-        self.objective = _objective_from_concurrence(self.lam, self.r, self.k)
 
 
 @dataclass(frozen=True)
@@ -205,16 +188,11 @@ def _polish(state: SearchState, deadline: float | None) -> int:
                         for pb in range(state.k):
                             if deadline is not None and time.monotonic() > deadline:
                                 return evals
-                            mv = Move(ri, ba, pa, bb, pb)
-                            before = state.objective
-                            state._swap(mv)
-                            after = _objective_from_concurrence(state.lam, state.r, state.k)
+                            mv = state.score(Move(ri, ba, pa, bb, pb))
                             evals += 1
-                            if after < before - 1e-12:
-                                state.objective = after
+                            if mv.objective_after < state.objective - 1e-12:
+                                state.accept(mv)
                                 improved = True
-                            else:
-                                state._swap(mv)
     return evals
 
 
@@ -247,8 +225,7 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
     best_state = SearchState(
         ResolvableDesign.from_replicates(best_blocks, v=config.v, k=config.k)
     )
-    if config.polish:
-        evals += _polish(best_state, deadline)
+    evals += _polish(best_state, deadline)
     label = f"search r={config.r} seed={config.seed} restart={index}"
     design = best_state.design(label)
     try:
@@ -268,18 +245,14 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
 def anneal(config: SearchConfig) -> SearchResult:
     """Run the annealing schedule over independent restarts.
 
-    Deterministic for a fixed config (including workers > 1) as long as the
-    time budget does not bind; when it does, the best design found so far is
-    returned with budget_exhausted set.
+    Deterministic for a fixed config as long as the time budget does not
+    bind; when it does, the best design found so far is returned with
+    budget_exhausted set.  Raises DisconnectedDesignError when no restart
+    ends connected.
     """
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget is not None else None
-    indices = list(range(config.restarts))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(lambda i: _run_restart(config, i, deadline), indices))
-    else:
-        outcomes = [_run_restart(config, i, deadline) for i in indices]
+    outcomes = [_run_restart(config, i, deadline) for i in range(config.restarts)]
 
     def rank(outcome: RestartOutcome):
         # maximize exact A; tie-break lowest restart index, then text
@@ -288,7 +261,7 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     winner = min(outcomes, key=rank)
     if winner.a_exact is None:
-        raise RuntimeError("search produced no connected design; extend the schedule")
+        raise DisconnectedDesignError("search produced no connected design; extend the schedule")
     elapsed = time.monotonic() - start
     return SearchResult(
         design=winner.design,

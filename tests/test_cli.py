@@ -1,7 +1,14 @@
 """CLI verbs, exit codes, and output determinism."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import rbdesign
 from rbdesign import gamma_design, read_design, validate, write_design
 from rbdesign.cli import run
 
@@ -10,6 +17,45 @@ def invoke(*argv):
     buf = io.StringIO()
     code = run(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def run_module(*argv):
+    """`python -m rbdesign ARGV` in a fresh process importing this package."""
+    src = str(Path(rbdesign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rbdesign", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_matches_run():
+    proc = run_module("catalog")
+    assert proc.returncode == 0
+    assert proc.stdout == invoke("catalog")[1]
+
+
+SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("search", "--r", "4", "--restarts", "0"), 2),
+    (("search", "--r", "4", "--cooling", "1.5"), 2),
+    (("search", "--r", "4", "--v", "35"), 2),
+    (("search", "--r", "4", "--k", "0"), 2),
+    (("search", "--r", "4", "--tmin", "-1"), 2),
+    (("search", "--r", "4", "--seed", "-1"), 2),
+    (("search", "--r", "1", *SHORT), 3),
+    (("evaluate", "{dir}"), 2),
+    (("evaluate", "{latin1}"), 2),
+])
+def test_error_paths_exit_without_traceback(tmp_path, argv, code):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# caf\xe9\n1 2 3 4 5 6\n".encode("latin-1"))
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    proc = run_module(*argv)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_generate_matches_library():

@@ -21,17 +21,17 @@ from rbdesign import (
     round_decimal,
     square_lattice_bound,
 )
-from rbdesign.efficiency import information_matrix
 from rbdesign.sylvester import galaxy, sylvester_graph
 
 
 def test_information_matrix_diagonal_and_row_sums(lattice, gamma_rc_8):
+    # rk * (I - (rk)^-1 Lambda): diagonal rk * 5/6, zero row sums, symmetric
     for d in (lattice, gamma_rc_8):
-        m = information_matrix(concurrence_matrix(d), d.r, d.k)
-        assert all(m[i, i] == Fraction(5, 6) for i in range(36))
-        for i in range(36):
-            assert sum(m[i, :]) == 0
-            assert all(m[i, j] == m[j, i] for j in range(36))
+        rk = d.r * d.k
+        m = rk * np.eye(36, dtype=np.int64) - concurrence_matrix(d)
+        assert (np.diag(m) == rk * Fraction(5, 6)).all()
+        assert (m.sum(axis=1) == 0).all()
+        assert (m == m.T).all()
 
 
 def test_spectrum_trace_identity(gamma_rc_8, theta8):

@@ -8,8 +8,9 @@ import pytest
 
 from rbdesign import (
     a_value,
+    a_value_float,
+    concurrence_matrix,
     gamma_design,
-    objective,
     random_resolvable,
     validate,
     write_design,
@@ -44,16 +45,24 @@ def test_config_validation():
         SearchConfig(cooling_rate=1.0)
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
+    with pytest.raises(ValueError):
+        SearchConfig(v=6, k=6)
+    with pytest.raises(ValueError):
+        SearchConfig(min_temperature=0.0)
+    with pytest.raises(ValueError):
+        SearchConfig(seed=-1)
 
 
 def test_objective_examples(gamma_rc_8):
-    assert objective(gamma_rc_8) == pytest.approx(float(Fraction(35 * 8196, 7007)), rel=1e-12)
-    assert objective(gamma_design(1)) == math.inf
+    assert 35 / a_value_float(gamma_rc_8) == pytest.approx(
+        float(Fraction(35 * 8196, 7007)), rel=1e-12)
+    assert SearchState(gamma_design(1)).objective == math.inf
 
 
 def test_objective_matches_exact_a():
     for d in (gamma_design(4, "RC"), gamma_design(6)):
-        assert 35 / objective(d) == pytest.approx(float(a_value(d)), rel=1e-9)
+        assert 35 / SearchState(d).objective == pytest.approx(float(a_value(d)), rel=1e-9)
+        assert 35 / SearchState(d).objective == pytest.approx(a_value_float(d), rel=1e-15)
 
 
 def test_proposed_moves_preserve_resolvability():
@@ -72,34 +81,35 @@ def test_move_then_inverse_restores_objective():
         before = state.objective
         mv = state.propose(rng)
         state.accept(mv)
-        back = state.propose_inverse = Move(mv.replicate, mv.block_a, mv.pos_a, mv.block_b, mv.pos_b)
-        state._swap(back)
-        state.recompute()
+        state.accept(state.score(mv))  # a swap is its own inverse
         assert state.objective == pytest.approx(before, abs=1e-12)
+        assert SearchState(state.design()).objective == pytest.approx(before, abs=1e-12)
+
+
+def _reciprocal_sum_full(design):
+    """Fresh eigendecomposition of the whole scaled information matrix."""
+    w = np.linalg.eigvalsh(np.eye(design.v) - concurrence_matrix(design) / (design.r * design.k))
+    return float(np.sum(1.0 / w[1:]))
 
 
 def test_move_delta_matches_full_recomputation():
     state = SearchState(random_resolvable(36, 6, 4, _rng(11)))
     rng = _rng(12)
     for _ in range(100):
-        before_design = state.design()
-        f_before = objective(before_design)
+        f_before = _reciprocal_sum_full(state.design())
         mv = state.propose(rng)
         state.accept(mv)
-        f_after = objective(state.design())
+        f_after = _reciprocal_sum_full(state.design())
         assert mv.delta == pytest.approx(f_after - f_before, abs=1e-9)
 
 
-def test_anneal_deterministic_and_scheduling_independent():
+def test_anneal_deterministic():
     config = SearchConfig(r=3, restarts=2, seed=9, moves_per_temperature=40,
                           initial_temperature=0.2, min_temperature=5e-3)
     first = anneal(config)
     second = anneal(config)
     assert write_design(first.design) == write_design(second.design)
     assert first.a_exact == second.a_exact
-    threaded = anneal(SearchConfig(r=3, restarts=2, seed=9, moves_per_temperature=40,
-                                   initial_temperature=0.2, min_temperature=5e-3, workers=2))
-    assert write_design(threaded.design) == write_design(first.design)
 
 
 def test_anneal_best_trace_is_monotone():
@@ -132,19 +142,14 @@ def test_polish_reaches_local_optimum():
     final = state.objective
     # verify no single within-replicate swap improves
     best_delta = math.inf
-    rng = _rng(22)
     for ri in range(state.r):
         for ba in range(6):
             for bb in range(ba + 1, 6):
                 for pa in range(6):
                     for pb in range(6):
-                        mv = Move(ri, ba, pa, bb, pb)
-                        state._swap(mv)
-                        from rbdesign.search import _objective_from_concurrence
-
-                        after = _objective_from_concurrence(state.lam, state.r, state.k)
-                        state._swap(mv)
-                        best_delta = min(best_delta, after - final)
+                        mv = state.score(Move(ri, ba, pa, bb, pb))
+                        best_delta = min(best_delta, mv.objective_after - final)
+    assert state.objective == final
     assert best_delta >= -1e-12
 
 
