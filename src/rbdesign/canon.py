@@ -1,12 +1,27 @@
-"""Canonical labeling of vertex-colored graphs, with automorphism groups.
+"""Canonical labeling of vertex-colored graphs, with automorphism group orders.
 
 Individualization-refinement search: colors are repeatedly refined to an
 equitable partition; while cells remain, the search individualizes each
 vertex of a canonically-chosen target cell in turn.  Discrete leaves yield
 certificates; the lexicographically greatest certificate is canonical, and
 certificate collisions between leaves expose automorphisms, whose orbits
-prune sibling branches.  A Schreier-Sims chain turns the discovered
-generators into the group order.
+prune sibling branches.
+
+The group order is the product, along the first leaf's path v1..vL, of
+|orbit of vi under the found automorphisms that fix v1..v(i-1)| (McKay,
+"Practical graph isomorphism", 1981; McKay & Piperno, J. Symb. Comput. 60,
+2014).  The product is exact because of two invariants, which any further
+pruning rule must keep on the first path:
+
+- a leaf is compared with the first leaf before the best leaf, so every leaf
+  equivalent to the first leaf yields an automorphism relative to it;
+- the only pruning is orbit pruning under found automorphisms that fix the
+  current prefix, so every explored subtree that holds a leaf equivalent to
+  the first leaf reaches one.
+
+Together they put into the found orbit of vi every vertex that the
+stabilizer of v1..v(i-1) maps vi to; the stabilizer of the whole path fixes
+a discrete partition and is trivial.
 
 Scale target is <= 90 vertices (designs on 36 varieties plus their blocks),
 where plain dict-based refinement is fast enough.
@@ -20,144 +35,34 @@ from typing import Sequence
 Perm = tuple[int, ...]
 
 
-def _identity(n: int) -> Perm:
-    return tuple(range(n))
+def _orbit(points: Sequence[int], autos: Sequence[Perm], fixing: Sequence[int]) -> set[int]:
+    """Union of orbits of `points` under the automorphisms in `autos` that
+    fix every point of `fixing`."""
+    gens = [g for g in autos if all(g[p] == p for p in fixing)]
+    seen = set(points)
+    frontier = list(points)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
-def _compose(a: Perm, b: Perm) -> Perm:
-    """Apply b first, then a."""
-    return tuple(a[x] for x in b)
+@dataclass(frozen=True)
+class _Group:
+    """The automorphisms the search found, and the exact group order."""
 
-
-def _inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _is_identity(a: Perm) -> bool:
-    return all(i == x for i, x in enumerate(a))
-
-
-class PermGroup:
-    """Permutation group built incrementally from generators (Schreier-Sims).
-
-    Maintains a base, a strong generating set, and basic-orbit transversals,
-    so that membership tests (sifting) and the group order are cheap.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.base: list[int] = []
-        self.strong_gens: list[Perm] = []
-        self.transversals: list[dict[int, Perm]] = []
+    gens: tuple[Perm, ...]
+    size: int
 
     def order(self) -> int:
-        out = 1
-        for t in self.transversals:
-            out *= len(t)
-        return out
+        return self.size
 
     def generators(self) -> list[Perm]:
-        return list(self.strong_gens)
-
-    def _gens_fixing_base_prefix(self, level: int) -> list[Perm]:
-        prefix = self.base[:level]
-        return [g for g in self.strong_gens if all(g[b] == b for b in prefix)]
-
-    def _orbit_transversal(self, beta: int, gens: Sequence[Perm]) -> dict[int, Perm]:
-        orb = {beta: _identity(self.n)}
-        frontier = [beta]
-        while frontier:
-            x = frontier.pop()
-            tx = orb[x]
-            for g in gens:
-                y = g[x]
-                if y not in orb:
-                    orb[y] = _compose(g, tx)
-                    frontier.append(y)
-        return orb
-
-    def _rebuild(self, from_level: int) -> None:
-        for lvl in range(from_level, len(self.base)):
-            self.transversals[lvl] = self._orbit_transversal(
-                self.base[lvl], self._gens_fixing_base_prefix(lvl)
-            )
-
-    def sift(self, g: Perm) -> tuple[Perm, int]:
-        """Strip g through the chain; identity residue means membership."""
-        for lvl, (beta, trans) in enumerate(zip(self.base, self.transversals)):
-            y = g[beta]
-            if y not in trans:
-                return g, lvl
-            g = _compose(_inverse(trans[y]), g)
-        return g, len(self.base)
-
-    def contains(self, g: Perm) -> bool:
-        residue, _ = self.sift(g)
-        return _is_identity(residue)
-
-    def add_generator(self, g: Perm) -> bool:
-        """Add a permutation; returns False if it was already a member."""
-        residue, level = self.sift(tuple(g))
-        if _is_identity(residue):
-            return False
-        if level == len(self.base):
-            beta = next(i for i in range(self.n) if residue[i] != i)
-            self.base.append(beta)
-            self.transversals.append({})
-        self.strong_gens.append(residue)
-        # the residue fixes base[:level] pointwise, so it joins the
-        # generator sets of every level up to `level`: rebuild all of them
-        self._rebuild(0)
-        self._close()
-        return True
-
-    def _close(self) -> None:
-        """Restore the strong-generation property by sifting Schreier
-        generators until the chain is stable."""
-        changed = True
-        while changed:
-            changed = False
-            for lvl in range(len(self.base)):
-                gens = self._gens_fixing_base_prefix(lvl)
-                trans = self.transversals[lvl]
-                for x in list(trans):
-                    tx = trans[x]
-                    for g in gens:
-                        y = g[x]
-                        if y not in trans:
-                            # stale transversal; refresh and re-pass so the
-                            # newly reachable points get processed too
-                            self._rebuild(lvl)
-                            trans = self.transversals[lvl]
-                            changed = True
-                        schreier = _compose(_inverse(trans[g[x]]), _compose(g, tx))
-                        residue, rlvl = self.sift(schreier)
-                        if not _is_identity(residue):
-                            if rlvl == len(self.base):
-                                beta = next(i for i in range(self.n) if residue[i] != i)
-                                self.base.append(beta)
-                                self.transversals.append({})
-                            self.strong_gens.append(residue)
-                            self._rebuild(0)
-                            changed = True
-
-    def orbit(self, points: Sequence[int], fixing: Sequence[int] = ()) -> set[int]:
-        """Union of orbits of `points` under the known generators that fix
-        every point of `fixing`."""
-        gens = [g for g in self.strong_gens if all(g[p] == p for p in fixing)]
-        seen = set(points)
-        frontier = list(points)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return list(self.gens)
 
 
 @dataclass(frozen=True)
@@ -167,7 +72,7 @@ class CanonicalLabeling:
 
     labeling: Perm
     certificate: bytes
-    group: PermGroup
+    group: _Group
 
 
 def refine(adj: Sequence[set[int]], colors: Sequence[int]) -> list[int]:
@@ -231,7 +136,7 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     n = len(adj)
     adjsets = [set(nbrs) for nbrs in adj]
     init_colors = list(colors) if colors is not None else [0] * n
-    group = PermGroup(n)
+    autos: list[Perm] = []
     first: dict = {}
     best: dict = {}
 
@@ -247,15 +152,16 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
             if not first:
                 first["cert"] = best["cert"] = cert
                 first["lab"] = best["lab"] = cur
+                first["path"] = prefix
                 return
             for ref in (first, best):
                 if cert == ref["cert"]:
                     vertex_at = [0] * n
                     for v, p in enumerate(cur):
                         vertex_at[p] = v
-                    g = tuple(vertex_at[ref["lab"][v]] for v in range(n))
-                    if not _is_identity(g):
-                        group.add_generator(g)
+                    # never the identity: the path to a leaf is readable from
+                    # its discrete partition, so distinct leaves differ
+                    autos.append(tuple(vertex_at[ref["lab"][v]] for v in range(n)))
                     break
             if cert > best["cert"]:
                 best["cert"] = cert
@@ -263,12 +169,17 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
             return
         explored: list[int] = []
         for v in cell:
-            if explored and v in group.orbit(explored, fixing=prefix):
+            if explored and v in _orbit(explored, autos, fixing=prefix):
                 continue
             dfs(individualize(cur, v), prefix + [v])
             explored.append(v)
 
     dfs(refine(adjsets, init_colors), [])
+    path = first["path"]
+    order = 1
+    for i, v in enumerate(path):
+        order *= len(_orbit([v], autos, fixing=path[:i]))
     return CanonicalLabeling(
-        labeling=tuple(best["lab"]), certificate=best["cert"], group=group
+        labeling=tuple(best["lab"]), certificate=best["cert"],
+        group=_Group(gens=tuple(autos), size=order),
     )

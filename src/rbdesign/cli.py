@@ -75,6 +75,14 @@ def _load_design(spec: str) -> ResolvableDesign:
     return design
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _emit(pairs: list[tuple[str, str]], fmt: str, out) -> None:
     if fmt == "kv":
         for key, val in pairs:
@@ -89,12 +97,13 @@ def _emit(pairs: list[tuple[str, str]], fmt: str, out) -> None:
 
 
 def _cmd_generate(args, out) -> int:
+    if args.r < 1:
+        # the empty r=0 building block has no replicates to write
+        raise ShapeMismatchError(f"a design needs r >= 1, got r={args.r}")
     ctor = {"gamma": gamma_design, "delta": delta_design}[args.family]
-    design = ctor(args.r, args.variant)
-    text = write_design(design)
+    text = write_design(ctor(args.r, args.variant))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         out.write(text)
     return 0
@@ -142,16 +151,13 @@ def _cmd_evaluate(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
-    try:
-        config = SearchConfig(
-            v=args.v, k=args.k, r=args.r,
-            initial_temperature=args.t0, cooling_rate=args.cooling,
-            moves_per_temperature=args.moves, min_temperature=args.tmin,
-            restarts=args.restarts, seed=args.seed, time_budget=args.budget,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    config = SearchConfig(
+        v=args.v, k=args.k, r=args.r,
+        initial_temperature=args.t0, cooling_rate=args.cooling,
+        moves_per_temperature=args.moves, min_temperature=args.tmin,
+        restarts=args.restarts, seed=args.seed, time_budget=args.budget,
+    )
+    round_decimal(Fraction(0), args.precision)  # reject a bad --precision before searching
     result = anneal(config)
     pairs = [
         ("seed", str(args.seed)),
@@ -169,13 +175,11 @@ def _cmd_search(args, out) -> int:
     print(f"elapsed: {result.elapsed_seconds:.2f}s", file=sys.stderr)
     text = write_design(result.design)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         out.write(text)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(result.trace_csv())
+        _write_text(args.trace, result.trace_csv())
     return 0
 
 
@@ -364,7 +368,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
+        # ValueError: an argument value the library rejects (search settings,
+        # a negative --precision)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DisconnectedDesignError as exc:
@@ -377,3 +383,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -374,6 +374,8 @@ def robustness(design: ResolvableDesign, skip_disconnected: bool = False) -> Rob
 
 def round_decimal(x: Fraction, places: int) -> str:
     """Fixed-point decimal string, rounding halves away from zero."""
+    if places < 0:
+        raise ValueError(f"decimal places must be >= 0, got {places}")
     sign = "-" if x < 0 else ""
     x = abs(x)
     q = 10 ** places

@@ -19,19 +19,21 @@ def invoke(*argv):
     return code, buf.getvalue()
 
 
-def run_module(*argv):
-    """`python -m rbdesign ARGV` in a fresh process importing this package."""
+def run_module(*argv, module="rbdesign"):
+    """`python -m MODULE ARGV` in a fresh process importing this package."""
     src = str(Path(rbdesign.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "rbdesign", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_python_dash_m_matches_run():
-    proc = run_module("catalog")
-    assert proc.returncode == 0
-    assert proc.stdout == invoke("catalog")[1]
+    expected = invoke("catalog")[1]
+    for module in ("rbdesign", "rbdesign.cli"):
+        proc = run_module("catalog", module=module)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
 
 
 SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
@@ -47,6 +49,9 @@ SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
     (("search", "--r", "1", *SHORT), 3),
     (("evaluate", "{dir}"), 2),
     (("evaluate", "{latin1}"), 2),
+    (("evaluate", "gamma-rc-2", "--precision", "-2"), 2),
+    (("generate", "--family", "gamma", "--r", "0"), 4),
+    (("generate", "--family", "gamma", "--r", "2", "--out", "{dir}/missing/x.txt"), 2),
 ])
 def test_error_paths_exit_without_traceback(tmp_path, argv, code):
     latin1 = tmp_path / "latin1.txt"
