@@ -12,6 +12,7 @@ from .core import (
     BlockDesign,
     DesignError,
     DisconnectedDesignError,
+    InternalError,
     InvalidDesignError,
     ParseError,
     ResolvableDesign,
@@ -69,6 +70,7 @@ __all__ = [
     "DisconnectedDesignError",
     "EfficiencySpectrum",
     "Graph36",
+    "InternalError",
     "InvalidDesignError",
     "ParseError",
     "ResolvableDesign",

@@ -6,6 +6,8 @@ sylvester-check, dual, catalog, export.  Design arguments are catalog names
 Randomized verbs take a seed (defaulted and echoed), so identical argv
 yields identical bytes out.  Exit codes: 0 success/true, 1 false,
 2 parse/usage error, 3 disconnected design, 4 wrong shape or invalid design.
+Limits: --precision <= MAX_PRECISION (else exit 2); a design file has at
+most MAX_VARIETIES varieties (else exit 4), as exact algebra is O(v^4).
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_SHAPE = 4
 
+MAX_PRECISION = 1000
+MAX_VARIETIES = 64  # every catalog design and its dual (v <= 48) fits
+
 
 def _duration(text: str) -> float:
     """Seconds, accepting a trailing 's' (e.g. '60' or '60s')."""
@@ -71,6 +76,8 @@ def _load_design(spec: str) -> ResolvableDesign:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {spec!r}: {exc}") from exc
     design = read_design(text)
+    if design.v > MAX_VARIETIES:
+        raise ShapeMismatchError(f"v={design.v} exceeds the limit of {MAX_VARIETIES} varieties")
     require_valid(design)
     return design
 
@@ -157,7 +164,6 @@ def _cmd_search(args, out) -> int:
         moves_per_temperature=args.moves, min_temperature=args.tmin,
         restarts=args.restarts, seed=args.seed, time_budget=args.budget,
     )
-    round_decimal(Fraction(0), args.precision)  # reject a bad --precision before searching
     result = anneal(config)
     pairs = [
         ("seed", str(args.seed)),
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, precision_default=4):
         p.add_argument("--format", choices=("kv", "table", "csv"), default="table")
         p.add_argument("--precision", type=int, default=precision_default,
-                       help="decimal places for reported values")
+                       help=f"decimal places for reported values (0..{MAX_PRECISION})")
 
     p = sub.add_parser("generate", help="construct a family design")
     p.add_argument("--family", choices=("gamma", "delta"), required=True)
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list the named designs")
     p.add_argument("--evaluate", action="store_true", help="include A values")
-    p.add_argument("--precision", type=int, default=4)
+    p.add_argument("--precision", type=int, default=4, help=f"0..{MAX_PRECISION}")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("export", help="export graph/matrix data")
@@ -367,10 +373,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "precision", 0) <= MAX_PRECISION:
+            raise ValueError(f"--precision must be in 0..{MAX_PRECISION}, got {args.precision}")
         return args.func(args, out)
     except (ParseError, ValueError) as exc:
-        # ValueError: an argument value the library rejects (search settings,
-        # a negative --precision)
+        # ValueError: search settings the library rejects, or a bad --precision
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DisconnectedDesignError as exc:

@@ -55,6 +55,10 @@ class ShapeMismatchError(DesignError):
     """An operation received a design with the wrong parameters."""
 
 
+class InternalError(DesignError):
+    """A runtime invariant failed: a bug in this package, not a bad input."""
+
+
 def _canon_block(members: Iterable[int]) -> Block:
     return tuple(sorted(int(x) for x in members))
 

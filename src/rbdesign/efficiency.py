@@ -9,24 +9,26 @@ Exact route: rk * (I - (rk)^-1 Lambda) = rk*I - Lambda is an integer matrix,
 so its characteristic polynomial can be computed with arbitrary-precision
 integers (Faddeev-LeVerrier; every division is exact).  A comes from the two
 lowest coefficients of the reduced polynomial, rational factors from integer
-root extraction, and residual irrational factors from high-precision root
-finding on the exactly-deflated remainder.  The floating-point route is an
-independent symmetric eigendecomposition used as a cross-check everywhere.
+root extraction.  The floating-point route is one symmetric
+eigendecomposition: it gives the float A, the annealing objective and the
+values of the irrational factors, whose multiplicities are checked against
+the exactly-deflated remainder.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .core import (
     BlockDesign,
     DisconnectedDesignError,
+    InternalError,
     ResolvableDesign,
     ShapeMismatchError,
     concurrence_matrix,
@@ -40,20 +42,16 @@ REPORTED_SEARCH_BOUND_R8 = 0.854931
 #: design disconnected (true factors here are never below ~0.1)
 _FLOAT_ZERO_TOL = 1e-8
 
+#: float factors closer than this are one eigenvalue; the exact algebra
+#: then checks the multiplicities this grouping implies
+_CLUSTER_TOL = 1e-9
+
 
 def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int, int]:
     """(v, r, k) for any equireplicate, equal-block-size design."""
     if isinstance(design, ResolvableDesign):
         return design.v, design.r, design.k
     return design.v, design.replication(), design.block_size()
-
-
-def _integer_information(design: ResolvableDesign | BlockDesign) -> tuple[np.ndarray, int]:
-    """(rk*I - Lambda, rk): the information matrix cleared of denominators."""
-    v, r, k = design_parameters(design)
-    lam = concurrence_matrix(design)
-    rk = r * k
-    return rk * np.eye(v, dtype=np.int64) - lam, rk
 
 
 @lru_cache(maxsize=4096)
@@ -66,7 +64,7 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - C) of an integer matrix.
 
     Faddeev-LeVerrier over Python ints: the trace divisions are exact for
-    integer matrices, which is asserted rather than assumed.  Returned as
+    integer matrices, which is checked rather than assumed.  Returned as
     coefficients from x^n down to x^0.
     """
     n = C.shape[0]
@@ -78,7 +76,8 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
         AM = A @ M
         t = int(np.trace(AM))
         q, rem = divmod(t, k)
-        assert rem == 0, "Faddeev-LeVerrier trace not divisible: non-integer input?"
+        if rem:
+            raise InternalError("Faddeev-LeVerrier trace not divisible: non-integer input?")
         coeffs.append(-q)
         M = AM + (-q) * eye
     return tuple(coeffs)
@@ -86,8 +85,9 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
 
 def characteristic_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[int, ...]:
     """Characteristic polynomial of rk*I - Lambda, exact, cached per matrix."""
-    C, _ = _integer_information(design)
-    return _charpoly_cached(C.tobytes(), C.shape[0])
+    v, r, k = design_parameters(design)
+    C = r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(design)
+    return _charpoly_cached(C.tobytes(), v)
 
 
 def scaled_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[Fraction, ...]:
@@ -107,8 +107,9 @@ class SpectrumFactor:
     """One canonical efficiency factor with its multiplicity.
 
     exact=True means value is a Fraction from integer root extraction;
-    otherwise it is a float correct to ~12 significant digits for an
-    irrational eigenvalue (the A value stays exact regardless).
+    otherwise it is a float from the symmetric eigendecomposition, correct
+    to ~14 decimals, for an irrational eigenvalue whose multiplicity is
+    checked exactly (the A value stays exact regardless).
     """
 
     value: Fraction | float
@@ -137,95 +138,75 @@ def _deflate_int_root(coeffs_low: list[int], root: int) -> list[int]:
     out = [high[0]]
     for c in high[1:]:
         out.append(c + root * out[-1])
-    assert out[-1] == 0
+    if out[-1]:
+        raise InternalError(f"{root} is not a root: deflation remainder {out[-1]}")
     return list(reversed(out[:-1]))
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _primitive(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients, with a positive leading one."""
+    g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by b, low-order first."""
     while len(a) >= len(b):
-        d = len(a) - len(b)
-        coef = a[-1] / b[-1]
-        q[d] = coef
+        lead, d = a[-1], len(a) - len(b)
+        a = [c * b[-1] for c in a]
         for i, c in enumerate(b):
-            a[i + d] -= coef * c
-        a = _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
+            a[i + d] -= lead * c
+        while a and a[-1] == 0:
+            a.pop()
+    return _primitive(a) if a else a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Greatest common divisor up to a constant, by the primitive
+    pseudo-remainder sequence (integers stay small, unlike Euclid over Q)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, rem = _poly_divmod(a, b)
-        a, b = b, rem
-    return [c / a[-1] for c in a] if a else a
+        a, b = b, _primitive_prem(a, b)
+    return a
 
 
-def _squarefree_parts(coeffs_low: list[int]) -> list[tuple[list[Fraction], int]]:
-    """Square-free decomposition (Musser): p = prod q_i^i, returns [(q_i, i)].
+def _multiplicity_profile(coeffs_low: list[int]) -> Counter:
+    """{m: number of distinct roots of multiplicity m}, exactly.
 
-    Coefficients low-order first; only parts of positive degree returned.
-    """
-
-    def derivative(p):
-        return [c * i for i, c in enumerate(p)][1:]
-
-    p = [Fraction(c) for c in coeffs_low]
-    g = _poly_gcd(p, derivative(p))
-    if len(g) <= 1:
-        return [(p, 1)] if len(p) > 1 else []
-    w, rem = _poly_divmod(p, g)
-    assert not rem
-    parts = []
-    mult = 1
-    while len(w) > 1:
-        y = _poly_gcd(w, g)
-        q, rem = _poly_divmod(w, y)
-        assert not rem
-        if len(q) > 1:
-            parts.append((q, mult))
-        g, rem = _poly_divmod(g, y)
-        assert not rem
-        w = y
-        mult += 1
-    return parts
+    With g_0 = p and g_(j+1) = gcd(g_j, g_j'), a root of multiplicity m is a
+    root of g_j with multiplicity m - j, so deg g_j - deg g_(j+1) counts the
+    distinct roots of multiplicity above j."""
+    g, above = list(coeffs_low), []
+    while len(g) > 1:
+        nxt = _poly_gcd(g, [c * i for i, c in enumerate(g)][1:])
+        above.append(len(g) - len(nxt))
+        g = nxt
+    return +Counter({j + 1: n - m for j, (n, m) in enumerate(zip(above, above[1:] + [0]))})
 
 
-def _irrational_factors(coeffs_low: list[int], rk: int) -> list[SpectrumFactor]:
-    """High-precision real roots of the residual polynomial, as factors of rk.
+def _irrational_factors(residual: list[int], rational: list[SpectrumFactor],
+                        floats: np.ndarray) -> list[SpectrumFactor]:
+    """The roots of the irrational residual, valued by the float route.
 
-    Eigenvalues of a symmetric matrix are real, but the residual can have
-    degree 30+ with tight clusters, so the polynomial solver gets generous
-    precision and an escalation ladder before giving up."""
-    factors = []
-    with mpmath.workdps(60):
-        for part, mult in _squarefree_parts(coeffs_low):
-            coefs_high = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                          for c in reversed(part)]
-            roots = None
-            for extraprec, maxsteps in ((100, 500), (300, 2000), (800, 10000)):
-                try:
-                    roots = mpmath.polyroots(coefs_high, maxsteps=maxsteps,
-                                             extraprec=extraprec)
-                    break
-                except mpmath.libmp.NoConvergence:
-                    continue
-            if roots is None:
-                raise ArithmeticError("residual eigenvalue polynomial did not converge")
-            for root in roots:
-                assert abs(mpmath.im(root)) < mpmath.mpf("1e-25"), "complex eigenvalue?"
-                val = float(mpmath.re(root) / rk)
-                factors.append(SpectrumFactor(value=round(val, 14), multiplicity=mult, exact=False))
-    return factors
+    floats holds all v-1 float factors.  Those at a rational factor are
+    dropped and the rest grouped into clusters of equal values.  The
+    residual's d distinct roots of multiplicity m must give exactly d
+    clusters of size m; the sizes then sum to the residual's degree, so as
+    many values were dropped as the rational multiplicities add up to.  Any
+    disagreement raises InternalError rather than returning a guess."""
+    exact = [float(f.value) for f in rational]
+    rest = [y for y in floats.tolist() if all(abs(y - x) > _CLUSTER_TOL for x in exact)]
+    clusters: list[list[float]] = []
+    for y in rest:  # ascending
+        if clusters and y - clusters[-1][-1] <= _CLUSTER_TOL:
+            clusters[-1].append(y)
+        else:
+            clusters.append([y])
+    sizes, expected = Counter(map(len, clusters)), _multiplicity_profile(residual)
+    if sizes != expected:
+        raise InternalError(f"float cluster sizes {dict(sizes)} disagree with the exact "
+                            f"multiplicities {dict(expected)} of the irrational factors")
+    return [SpectrumFactor(round(sum(c) / len(c), 14), len(c), exact=False) for c in clusters]
 
 
 def _reduced_polynomial(design) -> tuple[Fraction | None, int, list[int], int]:
@@ -267,7 +248,8 @@ def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpe
         if mult:
             factors.append(SpectrumFactor(Fraction(t, rk), mult, exact=True))
     if len(rem) > 1:
-        factors.extend(_irrational_factors(rem, rk))
+        floats = _float_factors(concurrence_matrix(design), rk)
+        factors.extend(_irrational_factors(rem, factors, floats))
     factors.sort(key=lambda f: float(f.value))
     return EfficiencySpectrum(
         factors=tuple(factors), a_value=a, connected=True, zero_multiplicity=1
@@ -288,16 +270,19 @@ def a_value(design: ResolvableDesign | BlockDesign) -> Fraction:
     return a
 
 
+def _float_factors(lam: np.ndarray, rk: int) -> np.ndarray:
+    """The v-1 canonical efficiency factors, ascending, from the integer
+    concurrence matrix by a symmetric eigendecomposition."""
+    return np.linalg.eigvalsh(np.eye(len(lam)) - lam / rk)[1:]
+
+
 def _reciprocal_sum(lam: np.ndarray, r: int, k: int) -> float:
-    """Sum of reciprocal canonical efficiency factors, (v-1)/A, from the
-    integer concurrence matrix by a symmetric eigendecomposition; +inf when
-    the design is disconnected."""
-    v = lam.shape[0]
-    m = np.eye(v) - lam / (r * k)
-    w = np.linalg.eigvalsh(m)
-    if w[1] < _FLOAT_ZERO_TOL:
+    """Sum of reciprocal canonical efficiency factors, (v-1)/A, by the float
+    route; +inf when the design is disconnected."""
+    w = _float_factors(lam, r * k)
+    if w[0] < _FLOAT_ZERO_TOL:
         return math.inf
-    return float(np.sum(1.0 / w[1:]))
+    return float(np.sum(1.0 / w))
 
 
 def a_value_float(design: ResolvableDesign | BlockDesign) -> float:

@@ -46,8 +46,10 @@ class SearchConfig:
                              "with at least two blocks per replicate")
         if not 0 < self.cooling_rate < 1:
             raise ValueError(f"cooling_rate must be in (0,1), got {self.cooling_rate}")
-        if not (self.min_temperature > 0 and math.isfinite(self.initial_temperature)):
-            raise ValueError("min_temperature must be positive and initial_temperature finite")
+        if not 0 < self.min_temperature < self.initial_temperature < math.inf:
+            raise ValueError("need 0 < min_temperature < initial_temperature < inf")
+        if self.time_budget is not None and not self.time_budget >= 0:  # NaN fails too
+            raise ValueError(f"time_budget must be >= 0 seconds, got {self.time_budget}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.r < 1 or self.moves_per_temperature < 1:

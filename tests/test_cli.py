@@ -52,11 +52,18 @@ SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
     (("evaluate", "gamma-rc-2", "--precision", "-2"), 2),
     (("generate", "--family", "gamma", "--r", "0"), 4),
     (("generate", "--family", "gamma", "--r", "2", "--out", "{dir}/missing/x.txt"), 2),
+    (("search", "--r", "2", "--restarts", "1", "--budget", "nan"), 2),
+    (("search", "--r", "2", "--restarts", "1", "--budget", "-1"), 2),
+    (("search", "--r", "2", "--restarts", "1", "--t0", "-1"), 2),
+    (("evaluate", "gamma-rc-2", "--precision", "100000000"), 2),
+    (("evaluate", "{wide}"), 4),
 ])
 def test_error_paths_exit_without_traceback(tmp_path, argv, code):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("# caf\xe9\n1 2 3 4 5 6\n".encode("latin-1"))
-    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    wide = tmp_path / "wide.txt"  # one block of 200 varieties: over MAX_VARIETIES
+    wide.write_text(" ".join(map(str, range(1, 201))) + "\n")
+    argv = [a.format(dir=tmp_path, latin1=latin1, wide=wide) for a in argv]
     proc = run_module(*argv)
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ")

@@ -7,6 +7,7 @@ import pytest
 
 from rbdesign import (
     DisconnectedDesignError,
+    InternalError,
     ResolvableDesign,
     ShapeMismatchError,
     a_value,
@@ -21,6 +22,9 @@ from rbdesign import (
     round_decimal,
     square_lattice_bound,
 )
+from rbdesign import efficiency
+from rbdesign.efficiency import characteristic_polynomial
+from rbdesign.search import random_resolvable
 from rbdesign.sylvester import galaxy, sylvester_graph
 
 
@@ -76,17 +80,76 @@ def test_disconnected_single_galaxy_raises():
     assert spec.zero_multiplicity == 6  # one zero per starfish component
 
 
-def test_irrational_factors_match_float_eigenvalues():
+def _sign_at(coeffs, x: Fraction) -> int:
+    acc = Fraction(0)
+    for c in coeffs:  # x^n down to x^0
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("design, multiplicity", [
+    (gamma_design(5, "RC"), 4),
+    (gamma_design(4), 3),
+    (random_resolvable(36, 6, 4, np.random.default_rng(4)), 1),
+])
+def test_irrational_factors_bracket_characteristic_roots(design, multiplicity):
+    # exact check of the float values: the characteristic polynomial of
+    # rk*I - Lambda changes sign across rk*x -+ 1e-9 iff x has odd multiplicity
+    coeffs = characteristic_polynomial(design)
+    rk = design.r * design.k
+    inexact = [f for f in efficiency_spectrum(design).factors if not f.exact]
+    assert multiplicity in {f.multiplicity for f in inexact}
+    eps = Fraction(1, 10**9)
+    for f in inexact:
+        below, above = (_sign_at(coeffs, rk * Fraction(f.value) + d) for d in (-eps, eps))
+        assert below and above
+        assert (below != above) == (f.multiplicity % 2 == 1), f
+
+
+@pytest.mark.parametrize("fault", ["split", "merge", "rational"])
+def test_float_route_disagreement_raises(monkeypatch, fault):
+    # gamma-rc-5: irrational factors 0.7566 x4 and 0.8768 x4 beside rational ones
     d = gamma_design(5, "RC")
-    spec = efficiency_spectrum(d)
-    inexact = [f for f in spec.factors if not f.exact]
-    assert inexact, "this design has irrational factors"
-    lam = concurrence_matrix(d)
-    w = np.linalg.eigvalsh(np.eye(36) - lam / (d.r * d.k))[1:]
-    approx = sorted(
-        float(f.value) for f in spec.factors for _ in range(f.multiplicity)
-    )
-    assert np.allclose(sorted(w), approx, atol=1e-9)
+    low, high = (f.value for f in efficiency_spectrum(d).factors if not f.exact)
+    true_factors = efficiency._float_factors
+
+    def faulty(lam, rk):
+        w = true_factors(lam, rk).copy()
+        at_low = np.abs(w - low) < 1e-9
+        if fault == "split":
+            w[np.argmax(at_low)] += 1e-7
+        elif fault == "merge":
+            w[np.abs(w - high) < 1e-9] = low
+        else:
+            w[np.argmax(np.abs(w - 0.8) < 1e-9)] += 1e-7
+        return np.sort(w)
+
+    monkeypatch.setattr(efficiency, "_float_factors", faulty)
+    with pytest.raises(InternalError):
+        efficiency_spectrum.__wrapped__(d)
+
+
+def test_exact_invariant_failures_raise():
+    # non-integer input breaks Faddeev-LeVerrier divisibility
+    with pytest.raises(InternalError, match="not divisible"):
+        efficiency._charpoly(np.array([[Fraction(3, 2), 0], [0, 1]], dtype=object))
+    # 1 is not a root of x^2 - 2
+    with pytest.raises(InternalError, match="not a root"):
+        efficiency._deflate_int_root([-2, 0, 1], 1)
+
+
+@pytest.mark.parametrize("factors, profile", [
+    # (x-1)^3 (x^2-2)^2 (x+5): one triple root, two double roots, one simple
+    ([[-1, 1]] * 3 + [[-2, 0, 1]] * 2 + [[5, 1]], {3: 1, 2: 2, 1: 1}),
+    # (x^2-3)^4 (x^3-x-1) (x-7)^4: three quadruple roots, three simple
+    ([[-3, 0, 1]] * 4 + [[-1, -1, 0, 1]] + [[-7, 1]] * 4, {4: 3, 1: 3}),
+])
+def test_multiplicity_profile_counts_distinct_roots(factors, profile):
+    poly = [1]  # low-order first
+    for f in factors:
+        poly = [sum(poly[i] * f[n - i] for i in range(len(poly)) if 0 <= n - i < len(f))
+                for n in range(len(poly) + len(f) - 1)]
+    assert efficiency._multiplicity_profile(poly) == profile
 
 
 def test_float_oracle_examples():

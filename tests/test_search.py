@@ -51,6 +51,12 @@ def test_config_validation():
         SearchConfig(min_temperature=0.0)
     with pytest.raises(ValueError):
         SearchConfig(seed=-1)
+    for budget in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            SearchConfig(time_budget=budget)
+    for t0 in (-1.0, 1e-4, math.nan):  # at or below min_temperature: no stage would run
+        with pytest.raises(ValueError):
+            SearchConfig(initial_temperature=t0)
 
 
 def test_objective_examples(gamma_rc_8):
