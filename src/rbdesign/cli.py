@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=defaults.restarts)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--budget", type=_duration, default=None,
-                   help="time budget in seconds (e.g. 60 or 60s)")
+                   help="wall-clock budget in seconds (e.g. 60 or 60s); output is "
+                        "reproducible only when the budget does not bind")
     p.add_argument("--t0", type=float, default=defaults.initial_temperature,
                    help="initial temperature")
     p.add_argument("--cooling", type=float, default=defaults.cooling_rate)

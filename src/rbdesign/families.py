@@ -25,6 +25,7 @@ from . import refdata
 from .core import (
     BlockDesign,
     DisconnectedDesignError,
+    InternalError,
     ResolvableDesign,
     ShapeMismatchError,
     dual,
@@ -105,8 +106,9 @@ def latin_squares() -> tuple[LatinSquare6, ...]:
             for x in block:
                 grid[(x - 1) // 6][(x - 1) % 6] = bi
         for i in range(6):
-            assert sorted(grid[i]) == [1, 2, 3, 4, 5, 6], "row not a permutation"
-            assert sorted(grid[j][i] for j in range(6)) == [1, 2, 3, 4, 5, 6], "column not a permutation"
+            column = [row[i] for row in grid]
+            if sorted(grid[i]) != list(range(1, 7)) or sorted(column) != list(range(1, 7)):
+                raise InternalError(f"square {len(squares) + 1}: line {i + 1} is not a permutation")
         squares.append(tuple(tuple(row) for row in grid))
     return tuple(squares)
 

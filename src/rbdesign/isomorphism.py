@@ -23,6 +23,7 @@ import numpy as np
 from .canon import CanonicalLabeling, canonical_labeling
 from .core import (
     BlockDesign,
+    InternalError,
     ResolvableDesign,
     ShapeMismatchError,
     concurrence_matrix,
@@ -144,7 +145,8 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     for i in range(36):
         for j in conc2[i]:
             u, w = perm[i], perm[j]
-            assert (min(u, w), max(u, w)) in sigma_edges, "witness failed verification"
+            if (min(u, w), max(u, w)) not in sigma_edges:
+                raise InternalError("Sylvester witness failed verification")
     return SylvesterWitness(permutation=perm)
 
 

@@ -2,16 +2,22 @@
 
 The move set swaps two varieties between two blocks of one replicate, which
 preserves resolvability by construction.  The minimized objective is the
-trace of the Moore-Penrose inverse of the scaled information matrix (the sum
-of reciprocal canonical efficiency factors), so its argmin is the argmax of
-the A-criterion; disconnected designs score +inf and are never accepted.
+trace of the Moore-Penrose inverse P = C^+ of the scaled information matrix
+C = I - Lambda/(rk) (the sum of reciprocal canonical efficiency factors), so
+its argmin is the argmax of the A-criterion; disconnected designs score +inf
+and are never accepted.
 
-The concurrence matrix is maintained incrementally per swap (O(k) integer
-updates, no drift to correct), with a fresh symmetric eigendecomposition per
-proposal.  Restarts use independent spawned RNG streams, so results are
-byte-identical for a fixed config; each restart's winner gets one exact
-evaluation and the overall best is chosen by exact A with deterministic
-tie-breaks.
+A swap adds a rank-2 term to the integer concurrence matrix Lambda, exactly.
+While the design is connected the state also keeps P and P^2: a swap is
+scored by a 2x2 Woodbury solve on its two blocks' 2k x 2k submatrices, and
+an accepted swap updates P and P^2 by the same terms.  A swap that
+disconnects, or any swap from a disconnected state, is scored by the float
+route (swap, one eigendecomposition, swap back).  Every objective comparison
+uses the tie tolerance _TIE, far above either route's float noise, so both
+routes take the same decisions.  Restarts use independent spawned RNG
+streams, so results are byte-identical for a fixed config; each restart's
+winner gets one exact evaluation and the overall best is chosen by exact A
+with deterministic tie-breaks.
 """
 
 from __future__ import annotations
@@ -25,6 +31,14 @@ import numpy as np
 
 from .core import DisconnectedDesignError, ResolvableDesign, write_design
 from .efficiency import _reciprocal_sum, a_value, a_value_float
+
+#: tie tolerance of every objective comparison (Metropolis rule, new best,
+#: polish), far above the float noise of either scoring route
+_TIE = 1e-12
+#: K is singular (the swap disconnects) when |det K| < _SINGULAR * |K|_F^2
+_SINGULAR = 1e-8
+#: a swap adds U S U^T to the concurrence matrix (see SearchState._rank2)
+_S = np.array([[2.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,8 @@ class Move:
 
 
 class SearchState:
-    """Mutable annealing state: blocks, concurrence matrix, objective."""
+    """Mutable annealing state: blocks, concurrence matrix, objective, and,
+    while the design is connected, pp = (P, P^2) with P = C^+."""
 
     def __init__(self, design: ResolvableDesign):
         self.v, self.k, self.r = design.v, design.k, design.r
@@ -89,39 +104,71 @@ class SearchState:
         from .core import concurrence_matrix
 
         self.lam = concurrence_matrix(design)
+        # U = [u, g] on blocks A and B in _pair order, its outer products
+        # (score contracts them with P and P^2) and the change U S U^T of Lambda
+        k = self.k
+        self._u = np.zeros((2 * k, 2))
+        self._u[[0, k], 0] = -1.0, 1.0  # u = e_b - e_a
+        self._u[:, 1] = np.repeat([1.0, -1.0], k)  # g = 1_A - 1_B
+        self._uu = np.einsum("ia,jb->ijab", self._u, self._u)
+        self._dlam = np.einsum("ia,ab,jb->ij", self._u, _S, self._u).astype(self.lam.dtype)
+        self._factor()
+
+    def _factor(self) -> None:
+        """Objective by the float route; pp from one eigendecomposition."""
         self.objective = _reciprocal_sum(self.lam, self.r, self.k)
+        self.pp = None
+        if math.isfinite(self.objective):
+            w, vec = np.linalg.eigh(np.eye(self.v) - self.lam / (self.r * self.k))
+            inv, vec = 1.0 / w[1:], vec[:, 1:]  # w[0] is the zero on the all-ones vector
+            self.pp = np.einsum("na,ia,ja->nij", np.stack([inv, inv * inv]), vec, vec)
 
     def design(self, label: str = "") -> ResolvableDesign:
         return ResolvableDesign.from_replicates(self.blocks, v=self.v, k=self.k, label=label)
 
+    def _pair(self, mv: Move) -> np.ndarray:
+        """0-based indices of blocks A and B, rotated to start at a and b."""
+        rep = self.blocks[mv.replicate]
+        blk_a, blk_b, i, j = rep[mv.block_a], rep[mv.block_b], mv.pos_a, mv.pos_b
+        return np.subtract(blk_a[i:] + blk_a[:i] + blk_b[j:] + blk_b[:j], 1)
+
     def _swap(self, mv: Move) -> None:
-        """Swap the two varieties and update the concurrence entries the
-        swap touches (2*(k-1) pairs on each side)."""
-        blk_a = self.blocks[mv.replicate][mv.block_a]
-        blk_b = self.blocks[mv.replicate][mv.block_b]
-        a, b = blk_a[mv.pos_a], blk_b[mv.pos_b]
-        lam = self.lam
-        for y in blk_a:
-            if y != a:
-                lam[a - 1, y - 1] -= 1
-                lam[y - 1, a - 1] -= 1
-                lam[b - 1, y - 1] += 1
-                lam[y - 1, b - 1] += 1
-        for y in blk_b:
-            if y != b:
-                lam[b - 1, y - 1] -= 1
-                lam[y - 1, b - 1] -= 1
-                lam[a - 1, y - 1] += 1
-                lam[y - 1, a - 1] += 1
-        blk_a[mv.pos_a], blk_b[mv.pos_b] = b, a
+        """Swap the two varieties and add U S U^T to the concurrence entries
+        of their two blocks (exact integers, no drift)."""
+        idx = self._pair(mv)
+        self.lam[idx[:, None], idx] += self._dlam
+        rep = self.blocks[mv.replicate]
+        blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
+        blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
+
+    def _rank2(self, mv: Move):
+        """The swap as Lambda += U S U^T, U = [u, g], u = e_b - e_a and
+        g = 1_A - 1_B (a in block A, b in block B), with U^T P U and
+        U^T P^2 U read from the 2k x 2k submatrices on A and B.  Returns
+        their indices, K^-1 for K = -rk S^-1 + U^T P U, U^T P^2 U and
+        delta = -tr(K^-1 U^T P^2 U); K^-1 and delta are None if K is singular."""
+        idx = self._pair(mv)
+        ((p, q), (_, s)), g = np.einsum(
+            "nij,ijab->nab", self.pp.take(idx, 1).take(idx, 2), self._uu).tolist()
+        q, s = q - self.r * self.k, s + 2 * self.r * self.k
+        det = p * s - q * q
+        if abs(det) <= _SINGULAR * (p * p + 2 * q * q + s * s):
+            return idx, None, g, None
+        (x, y), (_, z) = g
+        return idx, [[s / det, -q / det], [-q / det, p / det]], g, (2 * q * y - s * x - p * z) / det
 
     def score(self, mv: Move) -> Move:
-        """Fill mv.objective_after and mv.delta, leaving the state unchanged
-        (a swap is its own inverse)."""
-        self._swap(mv)
-        mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
-        self._swap(mv)
-        mv.delta = mv.objective_after - self.objective
+        """Fill mv.objective_after and mv.delta, leaving the state unchanged:
+        by Woodbury while the design stays connected, else by the float
+        route (swap, score, swap back; a swap is its own inverse)."""
+        mv.delta = self._rank2(mv)[3] if self.pp is not None else None
+        if mv.delta is None:
+            self._swap(mv)
+            mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
+            self._swap(mv)
+            mv.delta = mv.objective_after - self.objective
+        else:
+            mv.objective_after = self.objective + mv.delta
         return mv
 
     def propose(self, rng: np.random.Generator) -> Move:
@@ -134,8 +181,20 @@ class SearchState:
         )
 
     def accept(self, mv: Move) -> None:
+        """Apply a scored move; P and P^2 take the Woodbury terms of the
+        score: P -= Z X^T, P^2 -= H Z^T + Z H^T with X = P U, Y = P^2 U,
+        Z = X K^-1 and H = Y - Z U^T P^2 U / 2 (held transposed for einsum)."""
+        idx, kinv, g, _ = self._rank2(mv) if self.pp is not None else (None,) * 4
         self._swap(mv)
+        if kinv is None:  # scored by the float route: refactor
+            self._factor()
+            return
         self.objective = mv.objective_after
+        xt, yt = np.einsum("nij,ja->nai", self.pp.take(idx, 2), self._u)
+        zt = np.einsum("ab,bi->ai", kinv, xt)
+        ht = yt - np.einsum("ab,bi->ai", g, zt) / 2
+        self.pp[0] -= np.einsum("ai,aj->ij", zt, xt)
+        self.pp[1] -= np.einsum("ai,aj->ij", np.vstack([ht, zt]), np.vstack([zt, ht]))
 
 
 @dataclass(frozen=True)
@@ -192,7 +251,7 @@ def _polish(state: SearchState, deadline: float | None) -> int:
                                 return evals
                             mv = state.score(Move(ri, ba, pa, bb, pb))
                             evals += 1
-                            if mv.objective_after < state.objective - 1e-12:
+                            if mv.objective_after < state.objective - _TIE:
                                 state.accept(mv)
                                 improved = True
     return evals
@@ -213,12 +272,12 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
         for _ in range(config.moves_per_temperature):
             mv = state.propose(rng)
             evals += 1
-            accept = mv.delta <= 0 or (
+            accept = mv.delta <= _TIE or (
                 math.isfinite(mv.delta) and rng.random() < math.exp(-mv.delta / temperature)
             )
             if accept:
                 state.accept(mv)
-                if state.objective < best_f:
+                if state.objective < best_f - _TIE:
                     best_f = state.objective
                     best_blocks = [list(map(list, rep)) for rep in state.blocks]
         trace.append(TracePoint(index, stage, temperature, best_f))
@@ -237,7 +296,7 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
     return RestartOutcome(
         index=index,
         design=design,
-        objective=best_state.objective,
+        objective=_reciprocal_sum(best_state.lam, config.r, config.k),
         a_exact=exact,
         evaluations=evals,
         trace=tuple(trace),

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ShapeMismatchError
+from .core import InternalError, ShapeMismatchError
 
 POINTS = (1, 2, 3, 4, 5, 6)
 
@@ -121,7 +121,8 @@ def enumerate_one_factorizations() -> tuple[OneFactorization, ...]:
         OneFactorization(label, tuple(sorted(_factor(t) for t in row)))
         for label, row in _CANONICAL_ROWS
     )
-    assert found == {f.factors for f in canonical}, "enumeration disagrees with canonical set"
+    if found != {f.factors for f in canonical}:
+        raise InternalError("one-factorization enumeration disagrees with the canonical set")
     return canonical
 
 
@@ -130,7 +131,8 @@ def common_factor(di: OneFactorization, dj: OneFactorization) -> OneFactor:
     if di == dj:
         raise ShapeMismatchError("common_factor requires two distinct one-factorizations")
     shared = di.factor_set() & dj.factor_set()
-    assert len(shared) == 1, (di.label, dj.label, shared)
+    if len(shared) != 1:
+        raise InternalError(f"{di.label} and {dj.label} share {len(shared)} one-factors, not 1")
     return next(iter(shared))
 
 
@@ -302,7 +304,7 @@ def galaxy(graph: Graph36, column: int) -> tuple[tuple[int, ...], ...]:
 
     They partition the 36 cells, every starfish meeting each row and each
     column exactly once (the galaxy reads as a Latin square); both facts are
-    asserted because the design families rely on them.
+    checked (InternalError) because the design families rely on them.
     """
     if not 1 <= column <= 6:
         raise ShapeMismatchError(f"column must be 1..6, got {column}")
@@ -310,9 +312,10 @@ def galaxy(graph: Graph36, column: int) -> tuple[tuple[int, ...], ...]:
         tuple(sorted(starfish(graph, variety_of_cell(row, column))))
         for row in range(1, 7)
     )
-    seen = [x for b in blocks for x in b]
-    assert sorted(seen) == list(range(1, 37)), "galaxy does not partition the cells"
+    if sorted(x for b in blocks for x in b) != list(range(1, 37)):
+        raise InternalError(f"galaxy of column {column} does not partition the cells")
     for b in blocks:
-        assert sorted(cell_of_variety(x)[0] for x in b) == [1, 2, 3, 4, 5, 6]
-        assert sorted(cell_of_variety(x)[1] for x in b) == [1, 2, 3, 4, 5, 6]
+        for axis in (0, 1):
+            if sorted(cell_of_variety(x)[axis] for x in b) != [1, 2, 3, 4, 5, 6]:
+                raise InternalError(f"starfish {b} misses a row or column")
     return blocks

@@ -197,3 +197,19 @@ def test_reference_a_values_at_four_decimals(theta8):
     assert round_decimal(a_value(theta8), 4) == "0.8549"
     assert round_decimal(a_value(gamma_design(6)), 4) == "0.8442"
     assert round_decimal(a_value(delta_design(4, "RC")), 4) == "0.8393"
+
+
+def test_latin_square_recovery_checked(monkeypatch):
+    from rbdesign import InternalError
+
+    broken = list(refdata.DELTA_RC_8)
+    broken[2] = (broken[2][1], *broken[2][1:])  # block 1 replaced: symbol 1 never placed
+    monkeypatch.setattr(refdata, "DELTA_RC_8", tuple(broken))
+    latin_squares.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            latin_squares()
+    finally:
+        monkeypatch.undo()
+        latin_squares.cache_clear()
+    assert len(latin_squares()) == 6

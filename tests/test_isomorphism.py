@@ -184,3 +184,22 @@ def test_five_regular_graph_with_triangles_is_not_sylvester():
     sigma = sylvester_graph()
     sigma_adj = [[y - 1 for y in sigma.neighbors(x)] for x in range(1, 37)]
     assert _graph_canonical(adj).certificate != _graph_canonical(sigma_adj).certificate
+
+
+def test_sylvester_witness_checked(monkeypatch, theta8):
+    import dataclasses
+
+    from rbdesign import InternalError, isomorphism
+
+    calls = []
+
+    def faulty(adj):
+        c = _graph_canonical(adj)
+        calls.append(c)
+        if len(calls) == 1:  # the design's labeling, reversed: a wrong witness
+            c = dataclasses.replace(c, labeling=tuple(reversed(c.labeling)))
+        return c
+
+    monkeypatch.setattr(isomorphism, "_graph_canonical", faulty)
+    with pytest.raises(InternalError):
+        is_sylvester_design(theta8)

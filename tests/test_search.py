@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rbdesign import (
+    ResolvableDesign,
     a_value,
     a_value_float,
     concurrence_matrix,
@@ -15,6 +16,8 @@ from rbdesign import (
     validate,
     write_design,
 )
+from rbdesign import search
+from rbdesign.efficiency import _reciprocal_sum
 from rbdesign.search import Move, SearchConfig, SearchState, anneal, _polish
 
 
@@ -99,14 +102,102 @@ def _reciprocal_sum_full(design):
 
 
 def test_move_delta_matches_full_recomputation():
-    state = SearchState(random_resolvable(36, 6, 4, _rng(11)))
-    rng = _rng(12)
-    for _ in range(100):
-        f_before = _reciprocal_sum_full(state.design())
-        mv = state.propose(rng)
-        state.accept(mv)
+    for r, seed in ((4, 11), (8, 13)):
+        state = SearchState(random_resolvable(36, 6, r, _rng(seed)))
+        rng = _rng(seed + 1)
+        for _ in range(100):
+            f_before = _reciprocal_sum_full(state.design())
+            mv = state.propose(rng)
+            state.accept(mv)
+            f_after = _reciprocal_sum_full(state.design())
+            assert mv.delta == pytest.approx(f_after - f_before, abs=1e-9)
+    # every move of one replicate's neighbourhood, scored from one state
+    state = SearchState(random_resolvable(36, 6, 4, _rng(17)))
+    f_before = _reciprocal_sum_full(state.design())
+    moves = [Move(2, ba, pa, bb, pb) for ba in range(6) for bb in range(ba + 1, 6)
+             for pa in range(6) for pb in range(6)]
+    assert len(moves) == 540
+    for mv in moves:
+        state.score(mv)
+        state._swap(mv)
         f_after = _reciprocal_sum_full(state.design())
+        state._swap(mv)
         assert mv.delta == pytest.approx(f_after - f_before, abs=1e-9)
+
+
+def test_disconnecting_swap_scores_inf_and_is_never_taken():
+    design = ResolvableDesign.from_replicates(
+        [[range(1, 7), range(7, 13)], [[1, 2, 3, 4, 5, 7], [6, 8, 9, 10, 11, 12]]], v=12, k=6)
+    state = SearchState(design)
+    assert math.isfinite(state.objective)
+    mv = state.score(Move(1, 0, 5, 1, 0))  # 7 <-> 6: replicate 2 becomes replicate 1
+    assert (state.blocks[1][0][5], state.blocks[1][1][0]) == (7, 6)
+    assert mv.objective_after == math.inf and mv.delta == math.inf
+    assert not mv.delta <= search._TIE and not math.isfinite(mv.delta)  # the Metropolis rule
+    _polish(state, deadline=None)
+    assert math.isfinite(state.objective)
+    assert state.objective == pytest.approx(_reciprocal_sum_full(state.design()), abs=1e-12)
+
+
+def test_woodbury_state_does_not_drift():
+    state = SearchState(random_resolvable(36, 6, 4, _rng(31)))
+    rng = _rng(32)
+    for _ in range(10_000):
+        state.accept(state.propose(rng))
+    fresh = SearchState(state.design())
+    assert np.array_equal(state.lam, fresh.lam)
+    assert np.abs(state.pp - fresh.pp).max() < 1e-10
+    assert state.objective == pytest.approx(fresh.objective, abs=1e-10)
+
+
+class _OracleState(SearchState):
+    """The float-route scorer for every swap: swap, one eigendecomposition,
+    swap back; the fast scorer must take the same decisions."""
+
+    def score(self, mv):
+        self._swap(mv)
+        mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
+        self._swap(mv)
+        mv.delta = mv.objective_after - self.objective
+        return mv
+
+    def accept(self, mv):
+        self._swap(mv)
+        self.objective = mv.objective_after
+
+
+def _short(r, restarts=1, seed=0):
+    return SearchConfig(r=r, restarts=restarts, seed=seed, moves_per_temperature=40,
+                        initial_temperature=0.2, min_temperature=5e-3)
+
+
+@pytest.mark.parametrize("config", [_short(2, seed=1), _short(3, seed=2), _short(4, seed=3),
+                                    _short(5, seed=4), _short(6, seed=5), _short(7, seed=6),
+                                    _short(8, seed=7), _short(4, restarts=3, seed=8)],
+                         ids=lambda c: f"r{c.r}x{c.restarts}")
+def test_anneal_matches_oracle_scorer(monkeypatch, config):
+    fast = anneal(config)
+    monkeypatch.setattr(search, "SearchState", _OracleState)
+    slow = anneal(config)
+    assert write_design(fast.design) == write_design(slow.design)
+    assert (fast.a_exact, fast.evaluations, fast.restart_index, fast.objective) == (
+        slow.a_exact, slow.evaluations, slow.restart_index, slow.objective)
+    assert [o.evaluations for o in fast.restarts] == [o.evaluations for o in slow.restarts]
+
+
+def test_cli_search_matches_oracle_scorer(monkeypatch):
+    import io
+
+    from rbdesign import cli
+
+    argv = ["search", "--r", "4", "--restarts", "2", "--seed", "0", "--moves", "40",
+            "--t0", "0.2", "--tmin", "5e-3"]
+    fast = io.StringIO()
+    assert cli.run(argv, out=fast) == 0
+    monkeypatch.setattr(search, "SearchState", _OracleState)
+    slow = io.StringIO()
+    assert cli.run(argv, out=slow) == 0
+    assert fast.getvalue() == slow.getvalue()
 
 
 def test_anneal_deterministic():

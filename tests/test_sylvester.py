@@ -198,3 +198,43 @@ def test_edge_list_export():
     assert len(edges) == 90
     assert edges == sorted(edges)
     assert all(1 <= u < v <= 36 for u, v in edges)
+
+
+def test_enumeration_disagreement_raises(monkeypatch):
+    from rbdesign import InternalError, sylvester
+
+    full = one_factors()
+    monkeypatch.setattr(sylvester, "one_factors", lambda: full[:-1])
+    enumerate_one_factorizations.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            enumerate_one_factorizations()
+    finally:
+        monkeypatch.undo()
+        enumerate_one_factorizations.cache_clear()
+    assert len(enumerate_one_factorizations()) == 6
+
+
+def test_common_factor_count_checked(monkeypatch):
+    from rbdesign import InternalError
+    from rbdesign.sylvester import OneFactorization
+
+    d1, d2 = enumerate_one_factorizations()[:2]
+    monkeypatch.setattr(OneFactorization, "factor_set", lambda self: frozenset(one_factors()))
+    with pytest.raises(InternalError):
+        common_factor(d1, d2)
+
+
+@pytest.mark.parametrize("fault", ["overlap", "one_row"])
+def test_galaxy_partition_checked(monkeypatch, fault):
+    from rbdesign import InternalError, sylvester
+
+    def faulty(graph, center):
+        if fault == "overlap":
+            return frozenset(range(1, 7))
+        row = cell_of_variety(center)[0]  # six disjoint blocks, each inside one row
+        return frozenset(variety_of_cell(row, c) for c in range(1, 7))
+
+    monkeypatch.setattr(sylvester, "starfish", faulty)
+    with pytest.raises(InternalError):
+        galaxy(sylvester_graph(), 1)
