@@ -6,10 +6,12 @@ all-ones vector are the canonical efficiency factors; their harmonic mean A
 drives the average pairwise variance 2*sigma^2/(r*A).
 
 Exact route: rk * (I - (rk)^-1 Lambda) = rk*I - Lambda is an integer matrix,
-so its characteristic polynomial can be computed with arbitrary-precision
-integers (Faddeev-LeVerrier; every division is exact).  A comes from the two
-lowest coefficients of the reduced polynomial, rational factors from integer
-root extraction.  The floating-point route is one symmetric
+so its characteristic polynomial has integer coefficients.  Faddeev-LeVerrier
+runs modulo enough primes below 2^25 to cover their size, one float64 matrix
+product per step for all primes at once; the Chinese remainder theorem
+rebuilds the integers and one further prime checks them.  A comes from the
+two lowest coefficients of the reduced polynomial, rational factors from
+integer root extraction.  The floating-point route is one symmetric
 eigendecomposition: it gives the float A, the annealing objective and the
 values of the irrational factors, whose multiplicities are checked against
 the exactly-deflated remainder.
@@ -21,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +47,9 @@ _FLOAT_ZERO_TOL = 1e-8
 #: then checks the multiplicities this grouping implies
 _CLUSTER_TOL = 1e-9
 
+#: residue primes lie below 2**_PRIME_BITS (fewer bits for huge entries)
+_PRIME_BITS = 25
+
 
 def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int, int]:
     """(v, r, k) for any equireplicate, equal-block-size design."""
@@ -54,40 +58,98 @@ def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int,
     return design.v, design.replication(), design.block_size()
 
 
-@lru_cache(maxsize=4096)
-def _charpoly_cached(data: bytes, n: int) -> tuple[int, ...]:
-    C = np.frombuffer(data, dtype=np.int64).reshape(n, n)
-    return _charpoly(C)
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    if q < 2 or q % 2 == 0:
+        return q == 2
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if a % q == 0 or x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _moduli(n: int, width: int, bound: int) -> list[int]:
+    """Primes in (n, 2**width), descending, whose product exceeds 2 * bound,
+    then one more: the check prime.  Every prime exceeds n, so 1..n are
+    invertible modulo each."""
+    primes, prod, q = [], 1, (1 << width) - 1
+    while q > n:
+        if _is_prime(q):
+            primes.append(q)
+            if prod > 2 * bound:
+                return primes
+            prod *= q
+        q -= 2
+    raise InternalError(f"too few primes below 2**{width} for an exact {n}x{n} "
+                        "characteristic polynomial")
+
+
+def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Faddeev-LeVerrier modulo each prime: residues of det(xI - C), x^n first.
+
+    C is an integer-valued float64 matrix.  Each step is one float product
+    C @ [M_1 | ... | M_P] for all P primes, reduced in int64; returns an
+    (n + 1, P) array."""
+    n, q = len(C), np.array(primes, dtype=np.int64)
+    inv = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=np.int64)
+    out = np.ones((n + 1, len(q)), dtype=np.int64)
+    diag = np.arange(n)
+    M = np.tile(np.eye(n), len(q))
+    for k in range(1, n + 1):
+        AM = (C @ M).astype(np.int64).reshape(n, len(q), n) % q[:, None]
+        out[k] = -(AM[diag, :, diag].sum(axis=0) % q) * inv[k - 1] % q
+        AM[diag, :, diag] = (AM[diag, :, diag] + out[k]) % q
+        M = AM.reshape(n, -1).astype(np.float64)
+    return out
 
 
 def _charpoly(C: np.ndarray) -> tuple[int, ...]:
-    """Monic characteristic polynomial det(xI - C) of an integer matrix.
+    """Monic characteristic polynomial det(xI - C) of an integer matrix,
+    as coefficients from x^n down to x^0.
 
-    Faddeev-LeVerrier over Python ints: the trace divisions are exact for
-    integer matrices, which is checked rather than assumed.  Returned as
-    coefficients from x^n down to x^0.
-    """
-    n = C.shape[0]
-    A = C.astype(object)
-    M = np.eye(n, dtype=object)
-    eye = np.eye(n, dtype=object)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        AM = A @ M
-        t = int(np.trace(AM))
-        q, rem = divmod(t, k)
-        if rem:
-            raise InternalError("Faddeev-LeVerrier trace not divisible: non-integer input?")
-        coeffs.append(-q)
-        M = AM + (-q) * eye
+    |a_j| <= binom(n, j) * B^j < (1 + B)^n, with B the largest absolute row sum
+    (a bound on every eigenvalue), fixes how many primes _charpoly_mod needs.
+    The coefficients are rebuilt from their residues by the Chinese remainder
+    theorem with symmetric residues, then checked modulo one more prime;
+    non-integer input or a failed check raises InternalError."""
+    if C.dtype.kind not in "iu":
+        raise InternalError(f"characteristic polynomial of a non-integer {C.dtype} matrix")
+    n = len(C)
+    # primes below 2**width keep every sum in C @ [M_1 | ... | M_P] below
+    # 2**53, so the float64 product is exact in any summation order
+    c_max = max(int(C.max()), -int(C.min()))
+    width = min(_PRIME_BITS, 53 - (n * c_max).bit_length())
+    if width < 2:
+        raise InternalError(f"entries up to {c_max} are too large for exact float products")
+    C = C.astype(np.int64)
+    primes = _moduli(n, width, (1 + int(np.abs(C).sum(axis=1).max())) ** n)
+    residues = _charpoly_mod(C.astype(np.float64), primes)
+    *used, check = primes
+    prod = math.prod(used)
+    weights = [prod // p * pow(prod // p, -1, p) for p in used]
+    coeffs = []
+    for row in residues[:, :-1].tolist():
+        x = sum(a * w for a, w in zip(row, weights)) % prod
+        coeffs.append(x - prod if 2 * x > prod else x)
+    if [c % check for c in coeffs] != residues[:, -1].tolist():
+        raise InternalError(f"characteristic polynomial fails its check modulo {check}")
     return tuple(coeffs)
 
 
 def characteristic_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[int, ...]:
-    """Characteristic polynomial of rk*I - Lambda, exact, cached per matrix."""
+    """Characteristic polynomial of rk*I - Lambda, exact integer coefficients."""
     v, r, k = design_parameters(design)
-    C = r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(design)
-    return _charpoly_cached(C.tobytes(), v)
+    return _charpoly(r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(design))
 
 
 def scaled_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[Fraction, ...]:
@@ -227,7 +289,6 @@ def _reduced_polynomial(design) -> tuple[Fraction | None, int, list[int], int]:
     return a, m, reduced, rk
 
 
-@lru_cache(maxsize=256)
 def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpectrum:
     """All v-1 canonical efficiency factors plus the exact A value.
 

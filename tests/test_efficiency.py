@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbdesign import (
     DisconnectedDesignError,
@@ -13,6 +15,7 @@ from rbdesign import (
     a_value,
     a_value_float,
     average_variance,
+    catalog,
     concurrence_matrix,
     delta_design,
     dual,
@@ -26,6 +29,113 @@ from rbdesign import efficiency
 from rbdesign.efficiency import characteristic_polynomial
 from rbdesign.search import random_resolvable
 from rbdesign.sylvester import galaxy, sylvester_graph
+
+
+def _oracle_charpoly(C: np.ndarray) -> tuple[int, ...]:
+    """det(xI - C), x^n first, by Faddeev-LeVerrier over Python ints: the slow
+    route the modular one replaced, every trace division checked exact."""
+    n = C.shape[0]
+    A = C.astype(object)
+    M = np.eye(n, dtype=object)
+    eye = np.eye(n, dtype=object)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        AM = A @ M
+        q, rem = divmod(int(np.trace(AM)), k)
+        assert rem == 0
+        coeffs.append(-q)
+        M = AM + (-q) * eye
+    return tuple(coeffs)
+
+
+def _information(d) -> np.ndarray:
+    v, r, k = efficiency.design_parameters(d)
+    return r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(d)
+
+
+#: the catalog entries whose duals are checked: every r=3 and r=8 design, and
+#: the two r=5 row-column designs
+DUAL_NAMES = ("gamma-rc-8", "theta-8", "delta-rc-8", "gamma-3", "gamma-r-3", "gamma-c-3",
+              "gamma-rc-3", "gamma-rc-5", "delta-3", "delta-r-3", "delta-c-3", "delta-rc-3",
+              "delta-rc-5")
+
+
+def test_charpoly_matches_oracle_on_catalog_and_duals():
+    entries = catalog()
+    designs = [(e.name, e.design) for e in entries]
+    designs += [(f"dual {e.name}", dual(e.design)) for e in entries if e.name in DUAL_NAMES]
+    assert len(designs) == 63
+    for name, d in designs:
+        C = _information(d)
+        assert efficiency._charpoly(C) == _oracle_charpoly(C), name
+
+
+@st.composite
+def _random_designs(draw):
+    k = draw(st.integers(1, 8))
+    v = k * draw(st.integers(1, 8))
+    r = draw(st.integers(1, 12))
+    return random_resolvable(v, k, r, np.random.default_rng(draw(st.integers(0, 2**20))))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_random_designs())
+@example(random_resolvable(64, 8, 12, np.random.default_rng(0)))
+@example(random_resolvable(16, 1, 12, np.random.default_rng(0)))
+@example(random_resolvable(16, 16, 12, np.random.default_rng(0)))
+def test_charpoly_matches_oracle_on_random_designs(design):
+    C = _information(design)
+    assert efficiency._charpoly(C) == _oracle_charpoly(C)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_charpoly_exact_for_large_entries(monkeypatch, n):
+    # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**25
+    # would pass 2**53, the largest sum a float64 product keeps exact
+    widths = []
+    true_moduli = efficiency._moduli
+
+    def spy(n_, width, bound):
+        widths.append(width)
+        return true_moduli(n_, width, bound)
+
+    monkeypatch.setattr(efficiency, "_moduli", spy)
+    rng = np.random.default_rng(n)
+    for C in (rng.integers(-2**30, 2**30, size=(n, n)), np.full((n, n), 2**30),
+              np.diag([2**30 - 1] * n) - 2**29, rng.integers(2**29, 2**30, size=(n, n))):
+        assert efficiency._charpoly(C) == _oracle_charpoly(C)
+    assert widths and max(widths) < efficiency._PRIME_BITS
+
+
+def test_charpoly_rejects_entries_beyond_exact_products():
+    # too large for any prime width: an error, never a silent overflow
+    for C in (np.array([[2**52, 0], [0, 1]]), np.array([[2**62, 1], [1, -2**62]]),
+              np.array([[2**63 + 5, 0], [0, 1]], dtype=np.uint64)):
+        with pytest.raises(InternalError):
+            efficiency._charpoly(C)
+
+
+@pytest.mark.parametrize("fault", ["residue", "check_residue", "too_few_primes"])
+def test_charpoly_check_prime_catches_faults(monkeypatch, fault):
+    C = _information(gamma_design(5, "RC"))
+    true_mod, true_moduli = efficiency._charpoly_mod, efficiency._moduli
+
+    def faulty_mod(A, primes):
+        out = true_mod(A, primes).copy()
+        col = -1 if fault == "check_residue" else 0
+        out[7, col] = (out[7, col] + 1) % primes[col]
+        return out
+
+    def faulty_moduli(n, width, bound):
+        primes = true_moduli(n, width, bound)
+        return primes[:2] + primes[-1:]
+
+    if fault == "too_few_primes":
+        monkeypatch.setattr(efficiency, "_moduli", faulty_moduli)
+    else:
+        monkeypatch.setattr(efficiency, "_charpoly_mod", faulty_mod)
+    with pytest.raises(InternalError, match="check modulo"):
+        efficiency._charpoly(C)
 
 
 def test_information_matrix_diagonal_and_row_sums(lattice, gamma_rc_8):
@@ -126,13 +236,15 @@ def test_float_route_disagreement_raises(monkeypatch, fault):
 
     monkeypatch.setattr(efficiency, "_float_factors", faulty)
     with pytest.raises(InternalError):
-        efficiency_spectrum.__wrapped__(d)
+        efficiency_spectrum(d)
 
 
 def test_exact_invariant_failures_raise():
-    # non-integer input breaks Faddeev-LeVerrier divisibility
-    with pytest.raises(InternalError, match="not divisible"):
-        efficiency._charpoly(np.array([[Fraction(3, 2), 0], [0, 1]], dtype=object))
+    # a characteristic polynomial is only computed for integer matrices
+    for bad in (np.array([[Fraction(3, 2), 0], [0, 1]], dtype=object),
+                np.array([[1.5, 0.0], [0.0, 1.0]]), np.eye(3)):
+        with pytest.raises(InternalError, match="non-integer"):
+            efficiency._charpoly(bad)
     # 1 is not a root of x^2 - 2
     with pytest.raises(InternalError, match="not a root"):
         efficiency._deflate_int_root([-2, 0, 1], 1)
