@@ -117,8 +117,7 @@ def _cmd_generate(args, out) -> int:
     return 0
 
 
-def _spectrum_lines(design, precision: int) -> list[tuple[str, str]]:
-    spec = efficiency_spectrum(design)
+def _spectrum_lines(design, spec, precision: int) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     pairs.append(("connected", "yes" if spec.connected else "no"))
     if not spec.connected:
@@ -142,8 +141,8 @@ def _cmd_evaluate(args, out) -> int:
     design = _load_design(args.design)
     pairs = [("design", design.label or args.design),
              ("v", str(design.v)), ("k", str(design.k)), ("r", str(design.r))]
-    pairs += _spectrum_lines(design, args.precision)
     spec = efficiency_spectrum(design)
+    pairs += _spectrum_lines(design, spec, args.precision)
     if spec.connected and spec.a_value is not None:
         pairs.append(("avg-variance(sigma2=1)",
                       f"{average_variance(spec.a_value, design.r):.6f}"))

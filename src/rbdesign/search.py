@@ -10,11 +10,19 @@ and are never accepted.
 A swap adds a rank-2 term to the integer concurrence matrix Lambda, exactly.
 While the design is connected the state also keeps P and P^2: a swap is
 scored by a 2x2 Woodbury solve on its two blocks' 2k x 2k submatrices, and
-an accepted swap updates P and P^2 by the same terms.  A swap that
-disconnects, or any swap from a disconnected state, is scored by the float
-route (swap, one eigendecomposition, swap back).  Every objective comparison
-uses the tie tolerance _TIE, far above either route's float noise, so both
-routes take the same decisions.  Restarts use independent spawned RNG
+score keeps the solve so that accepting the swap updates P and P^2 by the
+same terms without solving again.  A swap that disconnects, or any swap
+from a disconnected state, is scored by the float route (swap, one
+eigendecomposition, swap back).  Every objective comparison uses the tie
+tolerance _TIE, far above either route's float noise, so both routes take
+the same decisions.
+
+A proposal draws its whole move (replicate, ordered block pair, two
+positions) with one rng call.  Polish takes the *first* improving swap in
+the order (replicate, block a < block b, pos a, pos b), sweeping until none
+improves; one vector scan reads the Woodbury deltas of all remaining swaps
+of a replicate from P N and N^T P N (N its incidence matrix), and score
+decides the first candidate.  Restarts use independent spawned RNG
 streams, so results are byte-identical for a fixed config; each restart's
 winner gets one exact evaluation and the overall best is chosen by exact A
 with deterministic tie-breaks.
@@ -105,13 +113,21 @@ class SearchState:
 
         self.lam = concurrence_matrix(design)
         # U = [u, g] on blocks A and B in _pair order, its outer products
-        # (score contracts them with P and P^2) and the change U S U^T of Lambda
+        # flattened (score contracts them with P and P^2 by one product) and
+        # the change U S U^T of Lambda
         k = self.k
         self._u = np.zeros((2 * k, 2))
         self._u[[0, k], 0] = -1.0, 1.0  # u = e_b - e_a
         self._u[:, 1] = np.repeat([1.0, -1.0], k)  # g = 1_A - 1_B
-        self._uu = np.einsum("ia,jb->ijab", self._u, self._u)
+        self._uu = np.einsum("ia,jb->ijab", self._u, self._u).reshape(-1, 4)
         self._dlam = np.einsum("ia,ab,jb->ij", self._u, _S, self._u).astype(self.lam.dtype)
+        # every move of one replicate in polish order: (block a, pos a, block b, pos b)
+        n_blocks, kk = self.v // k, k * k
+        ba, bb = np.triu_indices(n_blocks, 1)
+        pa, pb = np.divmod(np.arange(kk), k)
+        self._moves = np.stack([ba.repeat(kk), np.tile(pa, ba.size),
+                                bb.repeat(kk), np.tile(pb, ba.size)])
+        self._scored = None  # (move, idx, K^-1, U^T P^2 U) of the last Woodbury score
         self._factor()
 
     def _factor(self) -> None:
@@ -132,10 +148,10 @@ class SearchState:
         blk_a, blk_b, i, j = rep[mv.block_a], rep[mv.block_b], mv.pos_a, mv.pos_b
         return np.subtract(blk_a[i:] + blk_a[:i] + blk_b[j:] + blk_b[:j], 1)
 
-    def _swap(self, mv: Move) -> None:
+    def _swap(self, mv: Move, idx: np.ndarray | None = None) -> None:
         """Swap the two varieties and add U S U^T to the concurrence entries
-        of their two blocks (exact integers, no drift)."""
-        idx = self._pair(mv)
+        of their two blocks (exact integers, no drift); idx is _pair(mv)."""
+        idx = self._pair(mv) if idx is None else idx
         self.lam[idx[:, None], idx] += self._dlam
         rep = self.blocks[mv.replicate]
         blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
@@ -148,8 +164,8 @@ class SearchState:
         their indices, K^-1 for K = -rk S^-1 + U^T P U, U^T P^2 U and
         delta = -tr(K^-1 U^T P^2 U); K^-1 and delta are None if K is singular."""
         idx = self._pair(mv)
-        ((p, q), (_, s)), g = np.einsum(
-            "nij,ijab->nab", self.pp.take(idx, 1).take(idx, 2), self._uu).tolist()
+        sub = self.pp.take(idx, 1).take(idx, 2).reshape(2, -1)
+        ((p, q), (_, s)), g = (sub @ self._uu).reshape(2, 2, 2).tolist()
         q, s = q - self.r * self.k, s + 2 * self.r * self.k
         det = p * s - q * q
         if abs(det) <= _SINGULAR * (p * p + 2 * q * q + s * s):
@@ -160,41 +176,79 @@ class SearchState:
     def score(self, mv: Move) -> Move:
         """Fill mv.objective_after and mv.delta, leaving the state unchanged:
         by Woodbury while the design stays connected, else by the float
-        route (swap, score, swap back; a swap is its own inverse)."""
-        mv.delta = self._rank2(mv)[3] if self.pp is not None else None
-        if mv.delta is None:
+        route (swap, score, swap back; a swap is its own inverse).  The
+        Woodbury terms are kept for accept."""
+        idx, kinv, g, delta = self._rank2(mv) if self.pp is not None else (None,) * 4
+        self._scored = (mv, idx, kinv, g)
+        if delta is None:
             self._swap(mv)
             mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
             self._swap(mv)
             mv.delta = mv.objective_after - self.objective
         else:
-            mv.objective_after = self.objective + mv.delta
+            mv.delta = delta
+            mv.objective_after = self.objective + delta
         return mv
 
     def propose(self, rng: np.random.Generator) -> Move:
-        """Score a random swap in a uniformly chosen replicate."""
+        """Score a uniformly random swap, drawn by one rng call."""
         n_blocks = self.v // self.k
-        ri = int(rng.integers(self.r))
-        ba, bb = rng.choice(n_blocks, size=2, replace=False)
-        return self.score(
-            Move(ri, int(ba), int(rng.integers(self.k)), int(bb), int(rng.integers(self.k)))
-        )
+        code = int(rng.integers(self.r * n_blocks * (n_blocks - 1) * self.k * self.k))
+        return self.score(_decode(code, n_blocks, self.k))
 
     def accept(self, mv: Move) -> None:
-        """Apply a scored move; P and P^2 take the Woodbury terms of the
-        score: P -= Z X^T, P^2 -= H Z^T + Z H^T with X = P U, Y = P^2 U,
-        Z = X K^-1 and H = Y - Z U^T P^2 U / 2 (held transposed for einsum)."""
-        idx, kinv, g, _ = self._rank2(mv) if self.pp is not None else (None,) * 4
-        self._swap(mv)
+        """Apply a scored move by the Woodbury terms of its score (scoring
+        it again if another move was scored since).  With X = P U, Y = P^2 U
+        and W = [X, Y]: P -= X K^-1 X^T and
+        P^2 -= W [[-K^-1 G K^-1, K^-1], [K^-1, 0]] W^T, G = U^T P^2 U."""
+        if self._scored is None or self._scored[0] is not mv:
+            self.score(mv)
+        _, idx, kinv, g = self._scored
+        self._scored = None
+        self._swap(mv, idx)
         if kinv is None:  # scored by the float route: refactor
             self._factor()
             return
         self.objective = mv.objective_after
-        xt, yt = np.einsum("nij,ja->nai", self.pp.take(idx, 2), self._u)
-        zt = np.einsum("ab,bi->ai", kinv, xt)
-        ht = yt - np.einsum("ab,bi->ai", g, zt) / 2
-        self.pp[0] -= np.einsum("ai,aj->ij", zt, xt)
-        self.pp[1] -= np.einsum("ai,aj->ij", np.vstack([ht, zt]), np.vstack([zt, ht]))
+        w = np.concatenate(self.pp.take(idx, 2) @ self._u, axis=1)
+        kinv = np.array(kinv)
+        m = np.zeros((2, 4, 4))
+        m[0, :2, :2] = m[1, :2, 2:] = m[1, 2:, :2] = kinv
+        m[1, :2, :2] = -kinv @ g @ kinv
+        self.pp -= w @ m @ w.T
+
+    def _deltas(self, ri: int, start: int = 0) -> np.ndarray:
+        """Woodbury deltas of moves start, start+1, ... of replicate ri in
+        polish order, +inf where the swap disconnects.  For M = P and P^2 the
+        forms u^T M u, u^T M g and g^T M g are read from M, M N and N^T M N,
+        N the replicate's v x n_blocks incidence matrix."""
+        ba, pa, bb, pb = self._moves[:, start:]
+        blocks = np.array(self.blocks[ri]) - 1
+        n = np.zeros((self.v, len(blocks)))
+        n[blocks, np.arange(len(blocks))[:, None]] = 1.0
+        mn = self.pp @ n
+        nmn = n.T @ mn
+        a, b = blocks[ba, pa], blocks[bb, pb]
+        uu = self.pp[:, a, a] + self.pp[:, b, b] - 2 * self.pp[:, a, b]
+        ug = mn[:, b, ba] - mn[:, b, bb] - mn[:, a, ba] + mn[:, a, bb]
+        gg = nmn[:, ba, ba] + nmn[:, bb, bb] - 2 * nmn[:, ba, bb]
+        rk = self.r * self.k
+        (p, x), (q, y), (s, z) = uu, ug - [[rk], [0]], gg + [[2 * rk], [0]]
+        det = p * s - q * q
+        singular = np.abs(det) <= _SINGULAR * (p * p + 2 * q * q + s * s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = (2 * q * y - s * x - p * z) / det
+        return np.where(singular, math.inf, delta)
+
+
+def _decode(code: int, n_blocks: int, k: int) -> Move:
+    """Move number code of (replicate, block a, block b != a, pos a, pos b),
+    counted with pos b fastest."""
+    code, pb = divmod(code, k)
+    code, pa = divmod(code, k)
+    code, bb = divmod(code, n_blocks - 1)
+    ri, ba = divmod(code, n_blocks)
+    return Move(ri, ba, pa, bb + (bb >= ba), pb)
 
 
 @dataclass(frozen=True)
@@ -236,24 +290,36 @@ class SearchResult:
 
 
 def _polish(state: SearchState, deadline: float | None) -> int:
-    """First-improvement sweeps until no single swap improves (local optimum)."""
+    """First-improvement sweeps until no single swap improves (local optimum).
+
+    Moves are tried in the order (replicate, block a < block b, pos a, pos b)
+    and the first improving one is taken.  While P is known, one vector scan
+    of the replicate's remaining moves finds the next candidate, which score
+    then decides; after an accept the scan resumes at the next move.
+    Without P every move is scored by the float route."""
     evals = 0
+    n_moves = state._moves.shape[1]
     improved = True
-    n_blocks = state.v // state.k
     while improved:
         improved = False
         for ri in range(state.r):
-            for ba in range(n_blocks):
-                for bb in range(ba + 1, n_blocks):
-                    for pa in range(state.k):
-                        for pb in range(state.k):
-                            if deadline is not None and time.monotonic() > deadline:
-                                return evals
-                            mv = state.score(Move(ri, ba, pa, bb, pb))
-                            evals += 1
-                            if mv.objective_after < state.objective - _TIE:
-                                state.accept(mv)
-                                improved = True
+            start = 0
+            while start < n_moves:
+                if deadline is not None and time.monotonic() > deadline:
+                    return evals
+                if state.pp is None:
+                    hit = start
+                else:  # looser than score's test: their float noise hides no improvement
+                    hits = np.flatnonzero(state._deltas(ri, start) < -_TIE / 2)
+                    hit = start + int(hits[0]) if hits.size else n_moves
+                evals += min(hit + 1, n_moves) - start
+                if hit == n_moves:
+                    break
+                mv = state.score(Move(ri, *map(int, state._moves[:, hit])))
+                if mv.objective_after < state.objective - _TIE:
+                    state.accept(mv)
+                    improved = True
+                start = hit + 1
     return evals
 
 

@@ -95,6 +95,16 @@ def test_evaluate_reference_design():
     assert "factor x9" in out and "11/12" in out
 
 
+def test_evaluate_computes_one_characteristic_polynomial(monkeypatch):
+    from rbdesign import efficiency
+
+    calls = []
+    charpoly = efficiency._charpoly
+    monkeypatch.setattr(efficiency, "_charpoly", lambda c: calls.append(c) or charpoly(c))
+    assert invoke("evaluate", "gamma-rc-5")[0] == 0
+    assert len(calls) == 1
+
+
 def test_evaluate_kv_format_and_precision():
     code, out = invoke("evaluate", "gamma-5", "--format", "kv", "--precision", "7")
     assert code == 0

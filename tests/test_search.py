@@ -1,5 +1,6 @@
 """Annealing search: moves, objective, determinism, local optimality."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -95,6 +96,16 @@ def test_move_then_inverse_restores_objective():
         assert SearchState(state.design()).objective == pytest.approx(before, abs=1e-12)
 
 
+def test_accept_rescores_a_move_scored_before_another():
+    state = SearchState(random_resolvable(36, 6, 3, _rng(8)))
+    first = state.score(Move(0, 0, 1, 2, 3))
+    state.score(Move(1, 1, 0, 4, 5))  # the kept Woodbury terms now belong to this move
+    state.accept(first)
+    fresh = SearchState(state.design())
+    assert np.abs(state.pp - fresh.pp).max() < 1e-10
+    assert state.objective == pytest.approx(fresh.objective, abs=1e-10)
+
+
 def _reciprocal_sum_full(design):
     """Fresh eigendecomposition of the whole scaled information matrix."""
     w = np.linalg.eigvalsh(np.eye(design.v) - concurrence_matrix(design) / (design.r * design.k))
@@ -139,6 +150,51 @@ def test_disconnecting_swap_scores_inf_and_is_never_taken():
     assert state.objective == pytest.approx(_reciprocal_sum_full(state.design()), abs=1e-12)
 
 
+def test_neighbourhood_matches_score():
+    for r, seed in ((2, 41), (4, 42), (8, 43)):
+        state = SearchState(random_resolvable(36, 6, r, _rng(seed)))
+        for ri in range(r):
+            deltas = state._deltas(ri)
+            assert deltas.shape == (540,)
+            scored = [state.score(Move(ri, *map(int, m))).delta for m in state._moves.T]
+            np.testing.assert_allclose(deltas, scored, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(state._deltas(ri, 100), deltas[100:])
+    # a disconnecting swap scores +inf in the scan, and polish leaves it
+    design = ResolvableDesign.from_replicates(
+        [[range(1, 7), range(7, 13)], [[1, 2, 3, 4, 5, 7], [6, 8, 9, 10, 11, 12]]], v=12, k=6)
+    state = SearchState(design)
+    hit = [tuple(m) for m in state._moves.T.tolist()].index((0, 5, 1, 0))  # 7 <-> 6
+    deltas = state._deltas(1)
+    assert deltas[hit] == math.inf == state.score(Move(1, 0, 5, 1, 0)).delta
+    assert np.isfinite(np.delete(deltas, hit)).all()
+    _polish(state, deadline=None)
+    assert state.pp is not None and validate(state.design()) == []
+
+
+def test_polish_without_p_takes_the_float_route():
+    halves = [range(1, 7), range(7, 13)]
+    design = ResolvableDesign.from_replicates([halves, halves], v=12, k=6)  # disconnected
+    state = SearchState(design)
+    assert state.pp is None and state.objective == math.inf
+    mv = state.score(Move(0, 0, 0, 1, 0))  # 1 <-> 7 connects
+    state._swap(mv)
+    assert mv.objective_after == pytest.approx(_reciprocal_sum_full(state.design()), abs=1e-12)
+    state._swap(mv)
+    oracle = _OracleState(design)
+    assert _polish(state, deadline=None) == _polish(oracle, deadline=None)
+    assert state.blocks == oracle.blocks and state.pp is not None
+
+
+def test_propose_decode_is_a_bijection():
+    for r, n_blocks, k in ((3, 4, 2), (2, 2, 3), (2, 5, 1), (1, 6, 6)):
+        n = r * n_blocks * (n_blocks - 1) * k * k
+        moves = {dataclasses.astuple(search._decode(c, n_blocks, k))[:5] for c in range(n)}
+        assert len(moves) == n
+        assert moves == {(ri, ba, pa, bb, pb) for ri in range(r) for ba in range(n_blocks)
+                         for bb in range(n_blocks) if ba != bb
+                         for pa in range(k) for pb in range(k)}
+
+
 def test_woodbury_state_does_not_drift():
     state = SearchState(random_resolvable(36, 6, 4, _rng(31)))
     rng = _rng(32)
@@ -152,7 +208,12 @@ def test_woodbury_state_does_not_drift():
 
 class _OracleState(SearchState):
     """The float-route scorer for every swap: swap, one eigendecomposition,
-    swap back; the fast scorer must take the same decisions."""
+    swap back; the fast scorer must take the same decisions.  It keeps no P,
+    so polish scores its moves one by one through this score."""
+
+    def _factor(self):
+        self.objective = _reciprocal_sum(self.lam, self.r, self.k)
+        self.pp = None
 
     def score(self, mv):
         self._swap(mv)
@@ -166,19 +227,32 @@ class _OracleState(SearchState):
         self.objective = mv.objective_after
 
 
-def _short(r, restarts=1, seed=0):
-    return SearchConfig(r=r, restarts=restarts, seed=seed, moves_per_temperature=40,
+def _short(r, restarts=1, seed=0, v=36, k=6):
+    return SearchConfig(v=v, k=k, r=r, restarts=restarts, seed=seed, moves_per_temperature=40,
                         initial_temperature=0.2, min_temperature=5e-3)
+
+
+def _anneal_or_error(config):
+    try:
+        return anneal(config)
+    except search.DisconnectedDesignError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("config", [_short(2, seed=1), _short(3, seed=2), _short(4, seed=3),
                                     _short(5, seed=4), _short(6, seed=5), _short(7, seed=6),
-                                    _short(8, seed=7), _short(4, restarts=3, seed=8)],
-                         ids=lambda c: f"r{c.r}x{c.restarts}")
+                                    _short(8, seed=7), _short(4, restarts=3, seed=8),
+                                    _short(3, seed=9, v=12, k=6), _short(4, seed=10, v=8, k=4),
+                                    _short(3, seed=11, v=6, k=1)],
+                         ids=lambda c: (f"r{c.r}x{c.restarts}" if (c.v, c.k) == (36, 6)
+                                        else f"v{c.v}k{c.k}r{c.r}x{c.restarts}"))
 def test_anneal_matches_oracle_scorer(monkeypatch, config):
-    fast = anneal(config)
+    fast = _anneal_or_error(config)
     monkeypatch.setattr(search, "SearchState", _OracleState)
-    slow = anneal(config)
+    slow = _anneal_or_error(config)
+    if config.k == 1:  # C = 0: every design with singleton blocks is disconnected
+        assert fast == slow == "search produced no connected design; extend the schedule"
+        return
     assert write_design(fast.design) == write_design(slow.design)
     assert (fast.a_exact, fast.evaluations, fast.restart_index, fast.objective) == (
         slow.a_exact, slow.evaluations, slow.restart_index, slow.objective)
