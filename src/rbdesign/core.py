@@ -149,8 +149,15 @@ def validate(design: ResolvableDesign) -> list[str]:
     Violations carry replicate/block coordinates (1-based) so that broken
     input files can be fixed without guesswork.
     """
-    out: list[str] = []
     v, k = design.v, design.k
+    # each replicate a partition of 1..v into v/k blocks of size k: valid
+    if design.r >= 1 and v >= 1 and k >= 1 and v % k == 0 and all(
+        len(rep) == v // k and all(len(b) == k for b in rep)
+        and sorted(itertools.chain.from_iterable(rep)) == list(range(1, v + 1))
+        for rep in design.replicates
+    ):
+        return []
+    out: list[str] = []
     if design.r < 1:
         out.append("design has no replicates")
     if v < 1 or k < 1:
@@ -196,20 +203,26 @@ def valid_blocks(design: ResolvableDesign | BlockDesign) -> tuple[Block, ...]:
     return design.blocks
 
 
+def _concurrence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """N N^T for the v x b incidence matrix N of blocks on varieties 1..v,
+    as int64; a variety repeated within a block counts once per occurrence."""
+    sizes = [len(b) for b in blocks]
+    members = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    n = np.bincount((members - 1) * len(blocks) + owner, minlength=v * len(blocks))
+    n = n.reshape(v, len(blocks)).astype(np.float64)
+    return (n @ n.T).astype(np.int64)  # counts far below 2^53: exact
+
+
 def concurrence_matrix(design: ResolvableDesign | BlockDesign) -> np.ndarray:
     """The v x v concurrence matrix: entry (i,j) counts blocks containing both.
 
     The diagonal holds the replication count.  Entries are 0-indexed by
     variety-1.  Raises InvalidDesignError for an invalid resolvable design.
     """
-    v = design.v
     blocks = valid_blocks(design)
     diag = design.r if isinstance(design, ResolvableDesign) else design.replication()
-    lam = np.zeros((v, v), dtype=np.int64)
-    for block in blocks:
-        for a, b in itertools.combinations(block, 2):
-            lam[a - 1, b - 1] += 1
-            lam[b - 1, a - 1] += 1
+    lam = _concurrence(design.v, blocks)
     np.fill_diagonal(lam, diag)
     return lam
 

@@ -14,7 +14,8 @@ two lowest coefficients of the reduced polynomial, rational factors from
 integer root extraction.  The floating-point route is one symmetric
 eigendecomposition: it gives the float A, the annealing objective and the
 values of the irrational factors, whose multiplicities are checked against
-the exactly-deflated remainder.
+the exactly-deflated remainder (a gcd modulo 2^61 - 1 proves most
+remainders squarefree without the integer gcd chain).
 """
 
 from __future__ import annotations
@@ -78,18 +79,36 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+#: descending odd primes below 2**width found so far, by width; each value is
+#: replaced, never mutated, so concurrent callers see a consistent prefix
+_PRIMES: dict[int, tuple[int, ...]] = {}
+
+
+def _primes_below(width: int):
+    """Odd primes below 2**width, descending; each is tested once per process."""
+    found = _PRIMES.get(width, ())
+    yield from found
+    q = found[-1] - 2 if found else (1 << width) - 1
+    while q > 2:
+        if _is_prime(q):
+            found += (q,)
+            _PRIMES[width] = found
+            yield q
+        q -= 2
+
+
 def _moduli(n: int, width: int, bound: int) -> list[int]:
     """Primes in (n, 2**width), descending, whose product exceeds 2 * bound,
     then one more: the check prime.  Every prime exceeds n, so 1..n are
     invertible modulo each."""
-    primes, prod, q = [], 1, (1 << width) - 1
-    while q > n:
-        if _is_prime(q):
-            primes.append(q)
-            if prod > 2 * bound:
-                return primes
-            prod *= q
-        q -= 2
+    primes, prod = [], 1
+    for q in _primes_below(width):
+        if q <= n:
+            break
+        primes.append(q)
+        if prod > 2 * bound:
+            return primes
+        prod *= q
     raise InternalError(f"too few primes below 2**{width} for an exact {n}x{n} "
                         "characteristic polynomial")
 
@@ -232,12 +251,47 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+#: modulus of the squarefree proof: a Mersenne prime far above any degree
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """Remainder of a by b modulo the prime m, low-order first, both reduced
+    and without leading zeros."""
+    a, inv = a[:], pow(b[-1], -1, m)
+    while len(a) >= len(b):
+        f, d = a[-1] * inv % m, len(a) - len(b)
+        for i, c in enumerate(b):
+            a[i + d] = (a[i + d] - f * c) % m
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _squarefree_mod(p: list[int]) -> bool:
+    """True when _GCD_PRIME does not divide the leading coefficient of p
+    (nor then that of p', deg p being far smaller) and gcd(p, p') is a
+    constant modulo it.  Reducing modulo such a prime can only raise the
+    degree of a gcd, so True proves p squarefree over Q; False proves
+    nothing."""
+    m = _GCD_PRIME
+    if p[-1] % m == 0:
+        return False
+    a, b = [c % m for c in p], [c * i % m for i, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _rem_mod(a, b, m)
+    return len(a) == 1
+
+
 def _multiplicity_profile(coeffs_low: list[int]) -> Counter:
     """{m: number of distinct roots of multiplicity m}, exactly.
 
-    With g_0 = p and g_(j+1) = gcd(g_j, g_j'), a root of multiplicity m is a
-    root of g_j with multiplicity m - j, so deg g_j - deg g_(j+1) counts the
-    distinct roots of multiplicity above j."""
+    A polynomial proven squarefree modulo _GCD_PRIME has only simple roots.
+    Otherwise, with g_0 = p and g_(j+1) = gcd(g_j, g_j'), a root of
+    multiplicity m is a root of g_j with multiplicity m - j, so
+    deg g_j - deg g_(j+1) counts the distinct roots of multiplicity above j."""
+    if len(coeffs_low) > 1 and _squarefree_mod(coeffs_low):
+        return Counter({1: len(coeffs_low) - 1})
     g, above = list(coeffs_low), []
     while len(g) > 1:
         nxt = _poly_gcd(g, [c * i for i, c in enumerate(g)][1:])

@@ -8,14 +8,15 @@ its argmin is the argmax of the A-criterion; disconnected designs score +inf
 and are never accepted.
 
 A swap adds a rank-2 term to the integer concurrence matrix Lambda, exactly.
-While the design is connected the state also keeps P and P^2: a swap is
-scored by a 2x2 Woodbury solve on its two blocks' 2k x 2k submatrices, and
-score keeps the solve so that accepting the swap updates P and P^2 by the
-same terms without solving again.  A swap that disconnects, or any swap
-from a disconnected state, is scored by the float route (swap, one
-eigendecomposition, swap back).  Every objective comparison uses the tie
-tolerance _TIE, far above either route's float noise, so both routes take
-the same decisions.
+While the design is connected the state keeps P and P^2: a swap is scored
+by a 2x2 Woodbury solve on its two blocks' 2k x 2k submatrices, and score
+keeps the solve so that accepting the swap updates P and P^2 by the same
+terms without solving again.  A swap that disconnects, or any swap from a
+disconnected state, is scored by the float route (Lambda plus the rank-2
+term, one eigendecomposition).  Lambda itself is rebuilt from the blocks
+only when the float route, a refactorization or the final objective reads
+it.  Every objective comparison uses the tie tolerance _TIE, far above
+either route's float noise, so both routes take the same decisions.
 
 A proposal draws its whole move (replicate, ordered block pair, two
 positions) with one rng call.  Polish takes the *first* improving swap in
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DisconnectedDesignError, ResolvableDesign, write_design
+from .core import DisconnectedDesignError, ResolvableDesign, _concurrence, write_design
 from .efficiency import _reciprocal_sum, a_value, a_value_float
 
 #: tie tolerance of every objective comparison (Metropolis rule, new best,
@@ -103,15 +104,15 @@ class Move:
 
 
 class SearchState:
-    """Mutable annealing state: blocks, concurrence matrix, objective, and,
-    while the design is connected, pp = (P, P^2) with P = C^+."""
+    """Mutable annealing state: blocks, objective, and, while the design is
+    connected, pp = (P, P^2) with P = C^+."""
 
     def __init__(self, design: ResolvableDesign):
         self.v, self.k, self.r = design.v, design.k, design.r
         self.blocks = [[list(b) for b in rep] for rep in design.replicates]
         from .core import concurrence_matrix
 
-        self.lam = concurrence_matrix(design)
+        self._lam = concurrence_matrix(design)
         # U = [u, g] on blocks A and B in _pair order, its outer products
         # flattened (score contracts them with P and P^2 by one product) and
         # the change U S U^T of Lambda
@@ -120,7 +121,7 @@ class SearchState:
         self._u[[0, k], 0] = -1.0, 1.0  # u = e_b - e_a
         self._u[:, 1] = np.repeat([1.0, -1.0], k)  # g = 1_A - 1_B
         self._uu = np.einsum("ia,jb->ijab", self._u, self._u).reshape(-1, 4)
-        self._dlam = np.einsum("ia,ab,jb->ij", self._u, _S, self._u).astype(self.lam.dtype)
+        self._dlam = np.einsum("ia,ab,jb->ij", self._u, _S, self._u).astype(np.int64)
         # every move of one replicate in polish order: (block a, pos a, block b, pos b)
         n_blocks, kk = self.v // k, k * k
         ba, bb = np.triu_indices(n_blocks, 1)
@@ -129,6 +130,13 @@ class SearchState:
                                 bb.repeat(kk), np.tile(pb, ba.size)])
         self._scored = None  # (move, idx, K^-1, U^T P^2 U) of the last Woodbury score
         self._factor()
+
+    @property
+    def lam(self) -> np.ndarray:
+        """The integer concurrence matrix, rebuilt from the blocks after a swap."""
+        if self._lam is None:
+            self._lam = _concurrence(self.v, [b for rep in self.blocks for b in rep])
+        return self._lam
 
     def _factor(self) -> None:
         """Objective by the float route; pp from one eigendecomposition."""
@@ -148,11 +156,9 @@ class SearchState:
         blk_a, blk_b, i, j = rep[mv.block_a], rep[mv.block_b], mv.pos_a, mv.pos_b
         return np.subtract(blk_a[i:] + blk_a[:i] + blk_b[j:] + blk_b[:j], 1)
 
-    def _swap(self, mv: Move, idx: np.ndarray | None = None) -> None:
-        """Swap the two varieties and add U S U^T to the concurrence entries
-        of their two blocks (exact integers, no drift); idx is _pair(mv)."""
-        idx = self._pair(mv) if idx is None else idx
-        self.lam[idx[:, None], idx] += self._dlam
+    def _swap(self, mv: Move) -> None:
+        """Swap the two varieties; lam is rebuilt when next read."""
+        self._lam = None
         rep = self.blocks[mv.replicate]
         blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
         blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
@@ -181,9 +187,9 @@ class SearchState:
         idx, kinv, g, delta = self._rank2(mv) if self.pp is not None else (None,) * 4
         self._scored = (mv, idx, kinv, g)
         if delta is None:
-            self._swap(mv)
-            mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
-            self._swap(mv)
+            lam, idx = self.lam.copy(), self._pair(mv)
+            lam[idx[:, None], idx] += self._dlam
+            mv.objective_after = _reciprocal_sum(lam, self.r, self.k)
             mv.delta = mv.objective_after - self.objective
         else:
             mv.delta = delta
@@ -205,7 +211,7 @@ class SearchState:
             self.score(mv)
         _, idx, kinv, g = self._scored
         self._scored = None
-        self._swap(mv, idx)
+        self._swap(mv)
         if kinv is None:  # scored by the float route: refactor
             self._factor()
             return

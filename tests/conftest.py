@@ -1,6 +1,6 @@
 import pytest
 
-from rbdesign import catalog_entry, delta_design, gamma_design
+from rbdesign import catalog, catalog_entry, delta_design, dual, gamma_design
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,20 @@ def delta_rc_8():
 def lattice():
     """The rows+columns square lattice (two replicates)."""
     return gamma_design(2, "RC")
+
+
+#: the catalog entries whose duals are checked: every r=3 and r=8 design, and
+#: the two r=5 row-column designs
+DUAL_NAMES = ("gamma-rc-8", "theta-8", "delta-rc-8", "gamma-3", "gamma-r-3", "gamma-c-3",
+              "gamma-rc-3", "gamma-rc-5", "delta-3", "delta-r-3", "delta-c-3", "delta-rc-3",
+              "delta-rc-5")
+
+
+@pytest.fixture(scope="session")
+def catalog_and_duals():
+    """(name, design) for the 50 catalog designs and the 13 duals of DUAL_NAMES."""
+    entries = catalog()
+    designs = [(e.name, e.design) for e in entries]
+    designs += [(f"dual {e.name}", dual(e.design)) for e in entries if e.name in DUAL_NAMES]
+    assert len(designs) == 63
+    return designs

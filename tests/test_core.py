@@ -1,8 +1,11 @@
 """Data model: validation, concurrence, text round-trips, duality."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbdesign import (
@@ -18,6 +21,66 @@ from rbdesign import (
     write_design,
 )
 from rbdesign.families import columns_replicate, rows_replicate
+from rbdesign.search import random_resolvable
+
+
+def _oracle_validate(design):
+    """Every violation, by the detailed scan alone: the slow route validate
+    now takes only when its per-replicate permutation check fails."""
+    out = []
+    v, k = design.v, design.k
+    if design.r < 1:
+        out.append("design has no replicates")
+    if v < 1 or k < 1:
+        out.append(f"bad parameters v={v}, k={k}")
+        return out
+    if v % k != 0:
+        out.append(f"v={v} is not a multiple of k={k}")
+    for ri, rep in enumerate(design.replicates, start=1):
+        if len(rep) != v // k and v % k == 0:
+            out.append(f"replicate {ri}: {len(rep)} blocks, expected {v // k}")
+        seen = Counter()
+        for bi, block in enumerate(rep, start=1):
+            if len(block) != k:
+                out.append(f"replicate {ri}, block {bi}: size {len(block)}, expected {k}")
+            dups = [x for x, c in Counter(block).items() if c > 1]
+            for x in sorted(dups):
+                out.append(f"replicate {ri}, block {bi}: duplicate variety {x}")
+            for x in block:
+                if not 1 <= x <= v:
+                    out.append(f"replicate {ri}, block {bi}: variety {x} out of range 1..{v}")
+            seen.update(block)
+        extra = sorted(x for x, c in seen.items() if c > 1 and 1 <= x <= v)
+        missing = sorted(set(range(1, v + 1)) - set(seen))
+        for x in extra:
+            out.append(f"replicate {ri}: variety {x} occurs {seen[x]} times")
+        for x in missing:
+            out.append(f"replicate {ri}: variety {x} missing")
+    return out
+
+
+def _oracle_concurrence(design):
+    """Concurrence by the pairwise loop over every block: the slow route the
+    incidence product replaced."""
+    blocks = design.blocks() if isinstance(design, ResolvableDesign) else design.blocks
+    diag = design.r if isinstance(design, ResolvableDesign) else design.replication()
+    lam = np.zeros((design.v, design.v), dtype=np.int64)
+    for block in blocks:
+        for a, b in itertools.combinations(block, 2):
+            lam[a - 1, b - 1] += 1
+            lam[b - 1, a - 1] += 1
+    np.fill_diagonal(lam, diag)
+    return lam
+
+
+@st.composite
+def _wide_designs(draw):
+    """Random resolvable designs with v up to 64, singleton blocks and
+    one-block replicates included."""
+    k = draw(st.integers(1, 64))
+    v = k * draw(st.integers(1, 64 // k))
+    r = draw(st.integers(1, 6))
+    return random_resolvable(v, k, r, np.random.default_rng(draw(st.integers(0, 2**20))))
 
 
 def test_valid_reference_design_has_no_violations(gamma_rc_8):
@@ -93,6 +156,83 @@ def test_concurrence_invariants(name_r):
     # every block contributes k(k-1) ordered concurrent pairs
     off_total = int(lam.sum() - np.trace(lam))
     assert off_total == d.r * d.v * (d.k - 1)
+
+
+def test_concurrence_matches_oracle_on_catalog_and_duals(catalog_and_duals):
+    for name, d in catalog_and_duals:
+        lam = concurrence_matrix(d)
+        assert lam.dtype == np.int64
+        assert np.array_equal(lam, _oracle_concurrence(d)), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_wide_designs())
+@example(random_resolvable(64, 1, 3, np.random.default_rng(0)))
+@example(random_resolvable(64, 64, 3, np.random.default_rng(0)))
+@example(random_resolvable(64, 8, 6, np.random.default_rng(0)))
+def test_concurrence_matches_oracle_on_random_designs(design):
+    lam = concurrence_matrix(design)
+    assert lam.dtype == np.int64
+    assert np.array_equal(lam, _oracle_concurrence(design))
+
+
+_MUTATIONS = ("swap", "move", "duplicate", "drop", "out_of_range", "grow", "drop_block")
+
+
+@st.composite
+def _mutated_designs(draw):
+    """A valid design with one to three mutations: a swap within a replicate
+    (still valid), a variety moved to another block of its replicate,
+    duplicated, dropped or out of range, a block one larger, or a replicate
+    one block short."""
+    design = draw(_wide_designs())
+    reps = [[list(b) for b in rep] for rep in design.replicates]
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
+    for kind in kinds:
+        rep = reps[draw(st.integers(0, len(reps) - 1))]
+        if kind == "drop_block":
+            rep.pop(draw(st.integers(0, len(rep) - 1)))
+            if not rep:
+                rep.append([])
+            continue
+        block = rep[draw(st.integers(0, len(rep) - 1))]
+        if not block:
+            block.append(1)
+            continue
+        i = draw(st.integers(0, len(block) - 1))
+        other = rep[draw(st.integers(0, len(rep) - 1))]
+        if kind == "swap":
+            if other:
+                j = draw(st.integers(0, len(other) - 1))
+                block[i], other[j] = other[j], block[i]
+        elif kind == "move":
+            other.append(block.pop(i))
+        elif kind == "duplicate":
+            block[i] = draw(st.sampled_from([x for b in rep for x in b]))
+        elif kind == "drop":
+            block.pop(i)
+        elif kind == "out_of_range":
+            block[i] = draw(st.sampled_from([0, -1, design.v + 1, design.v + 7]))
+        else:  # grow
+            block.append(draw(st.integers(-1, design.v + 1)))
+    mutated = ResolvableDesign(design.v, design.k, tuple(tuple(tuple(b) for b in rep)
+                                                        for rep in reps))
+    return mutated, set(kinds) <= {"swap"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutated_designs())
+@example((ResolvableDesign(6, 3, ()), False))
+@example((ResolvableDesign(7, 3, (((1, 2, 3), (4, 5, 6)),)), False))
+@example((ResolvableDesign(0, 3, (((1, 2, 3),),)), False))
+@example((ResolvableDesign(0, 3, ((),)), False))
+@example((ResolvableDesign(6, 3, (((3, 2, 1), (6, 5, 4)),)), True))
+def test_validate_matches_detailed_scan_on_mutated_designs(case):
+    design, swaps_only = case
+    violations = validate(design)
+    assert violations == _oracle_validate(design)
+    if swaps_only:
+        assert violations == []
 
 
 def test_concurrence_rejects_invalid_design():

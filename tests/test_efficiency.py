@@ -15,7 +15,6 @@ from rbdesign import (
     a_value,
     a_value_float,
     average_variance,
-    catalog,
     concurrence_matrix,
     delta_design,
     dual,
@@ -53,19 +52,8 @@ def _information(d) -> np.ndarray:
     return r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(d)
 
 
-#: the catalog entries whose duals are checked: every r=3 and r=8 design, and
-#: the two r=5 row-column designs
-DUAL_NAMES = ("gamma-rc-8", "theta-8", "delta-rc-8", "gamma-3", "gamma-r-3", "gamma-c-3",
-              "gamma-rc-3", "gamma-rc-5", "delta-3", "delta-r-3", "delta-c-3", "delta-rc-3",
-              "delta-rc-5")
-
-
-def test_charpoly_matches_oracle_on_catalog_and_duals():
-    entries = catalog()
-    designs = [(e.name, e.design) for e in entries]
-    designs += [(f"dual {e.name}", dual(e.design)) for e in entries if e.name in DUAL_NAMES]
-    assert len(designs) == 63
-    for name, d in designs:
+def test_charpoly_matches_oracle_on_catalog_and_duals(catalog_and_duals):
+    for name, d in catalog_and_duals:
         C = _information(d)
         assert efficiency._charpoly(C) == _oracle_charpoly(C), name
 
@@ -88,23 +76,34 @@ def test_charpoly_matches_oracle_on_random_designs(design):
     assert efficiency._charpoly(C) == _oracle_charpoly(C)
 
 
+def _near(c: int, residue: int, q: int) -> int:
+    """The largest integer <= c congruent to residue modulo q."""
+    return c - (c - residue) % q
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_charpoly_exact_for_large_entries(monkeypatch, n):
     # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**25
     # would pass 2**53, the largest sum a float64 product keeps exact
-    widths = []
+    moduli = []
     true_moduli = efficiency._moduli
 
     def spy(n_, width, bound):
-        widths.append(width)
-        return true_moduli(n_, width, bound)
+        moduli.append((width, true_moduli(n_, width, bound)))
+        return moduli[-1][1]
 
     monkeypatch.setattr(efficiency, "_moduli", spy)
     rng = np.random.default_rng(n)
     for C in (rng.integers(-2**30, 2**30, size=(n, n)), np.full((n, n), 2**30),
               np.diag([2**30 - 1] * n) - 2**29, rng.integers(2**29, 2**30, size=(n, n))):
         assert efficiency._charpoly(C) == _oracle_charpoly(C)
-    assert widths and max(widths) < efficiency._PRIME_BITS
+    assert moduli and max(w for w, _ in moduli) < efficiency._PRIME_BITS
+    # entries whose residues modulo the narrow width's first prime sit at -+q/2
+    width, (q, *_) = moduli[-1]
+    half = [_near(2**30, (q - 1) // 2, q), _near(2**30, (q + 1) // 2, q)]
+    C = rng.choice(half, size=(n, n)) * rng.choice([-1, 1], size=(n, n))
+    assert efficiency._charpoly(C) == _oracle_charpoly(C)
+    assert moduli[-1][0] == width
 
 
 def test_charpoly_rejects_entries_beyond_exact_products():
@@ -262,6 +261,38 @@ def test_multiplicity_profile_counts_distinct_roots(factors, profile):
         poly = [sum(poly[i] * f[n - i] for i in range(len(poly)) if 0 <= n - i < len(f))
                 for n in range(len(poly) + len(f) - 1)]
     assert efficiency._multiplicity_profile(poly) == profile
+
+
+def test_squarefree_proof_matches_gcd_chain(monkeypatch, catalog_and_duals):
+    # every irrational residual the spectra meet: the profile with the modular
+    # proof equals the integer gcd chain alone
+    residuals = []
+    true_profile = efficiency._multiplicity_profile
+    monkeypatch.setattr(efficiency, "_multiplicity_profile",
+                        lambda p: residuals.append(p) or true_profile(p))
+    for _, d in catalog_and_duals:
+        efficiency_spectrum(d)
+    proven = [efficiency._squarefree_mod(p) for p in residuals]
+    assert proven.count(True) >= 8 and proven.count(False) >= 8  # both paths run
+    rng = np.random.default_rng(20)
+    for r in [3, 4, 5, 6, 8] * 4:  # 20 random designs
+        efficiency_spectrum(random_resolvable(36, 6, r, rng))
+    monkeypatch.undo()
+    profiles = [efficiency._multiplicity_profile(p) for p in residuals]
+    monkeypatch.setattr(efficiency, "_squarefree_mod", lambda p: False)
+    assert [efficiency._multiplicity_profile(p) for p in residuals] == profiles
+
+
+@pytest.mark.parametrize("m", [efficiency._GCD_PRIME, 7])
+def test_squarefree_proof_declines_when_the_prime_divides_the_lead(monkeypatch, m):
+    # (m x + 1)^2 is 1 modulo m and its derivative 0: a gcd modulo m looks
+    # constant, but m divides the leading coefficient, so the proof declines
+    # and the integer chain finds the double root
+    monkeypatch.setattr(efficiency, "_GCD_PRIME", m)
+    double = [1, 2 * m, m * m]
+    assert not efficiency._squarefree_mod(double)
+    assert efficiency._multiplicity_profile(double) == {2: 1}
+    assert efficiency._squarefree_mod([-2, 0, 1])
 
 
 def test_float_oracle_examples():
