@@ -194,23 +194,33 @@ def require_valid(design: ResolvableDesign) -> None:
         raise InvalidDesignError(violations)
 
 
+def _blocks(design: ResolvableDesign | BlockDesign) -> tuple[Block, ...]:
+    """All blocks of either design type, unvalidated."""
+    return design.blocks() if isinstance(design, ResolvableDesign) else design.blocks
+
+
 def valid_blocks(design: ResolvableDesign | BlockDesign) -> tuple[Block, ...]:
     """All blocks of either design type; a resolvable design is validated
     first and raises InvalidDesignError when broken."""
     if isinstance(design, ResolvableDesign):
         require_valid(design)
-        return design.blocks()
-    return design.blocks
+    return _blocks(design)
 
 
-def _concurrence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """N N^T for the v x b incidence matrix N of blocks on varieties 1..v,
-    as int64; a variety repeated within a block counts once per occurrence."""
+def _incidence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The v x b incidence matrix N of blocks on varieties 1..v, as float64;
+    a variety repeated within a block counts once per occurrence."""
     sizes = [len(b) for b in blocks]
     members = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
     owner = np.repeat(np.arange(len(blocks)), sizes)
     n = np.bincount((members - 1) * len(blocks) + owner, minlength=v * len(blocks))
-    n = n.reshape(v, len(blocks)).astype(np.float64)
+    return n.reshape(v, len(blocks)).astype(np.float64)
+
+
+def _concurrence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """N N^T for the v x b incidence matrix N of blocks on varieties 1..v,
+    as int64."""
+    n = _incidence(v, blocks)
     return (n @ n.T).astype(np.int64)  # counts far below 2^53: exact
 
 

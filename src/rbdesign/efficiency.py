@@ -6,10 +6,19 @@ all-ones vector are the canonical efficiency factors; their harmonic mean A
 drives the average pairwise variance 2*sigma^2/(r*A).
 
 Exact route: rk * (I - (rk)^-1 Lambda) = rk*I - Lambda is an integer matrix,
-so its characteristic polynomial has integer coefficients.  Faddeev-LeVerrier
-runs modulo enough primes below 2^25 to cover their size, one float64 matrix
-product per step for all primes at once; the Chinese remainder theorem
-rebuilds the integers and one further prime checks them.  A comes from the
+so its characteristic polynomial has integer coefficients.  With b blocks,
+Lambda = N N^T for the v x b incidence matrix N whenever N is binary (no
+variety repeated within a block, so the diagonal of N N^T is the
+replication).  The Weinstein-Aronszajn identity
+det(xI_v - (rk I_v - N N^T)) = (x - rk)^(v-b) * det(xI_b - (rk I_b - N^T N))
+then gives the polynomial from the b x b matrix when b < v, since N N^T and
+N^T N share their nonzero eigenvalues (a design and its dual share their
+non-unit efficiency factors; Patterson & Williams, Biometrika 63, 1976).
+Designs with b >= v, or with a repeated variety, use the v x v matrix.
+Faddeev-LeVerrier runs modulo enough primes below 2^25 to cover the
+coefficients' size, one float64 matrix product per step for all primes at
+once; the Chinese remainder theorem rebuilds the integers and one further
+prime checks them.  A comes from the
 two lowest coefficients of the reduced polynomial, rational factors from
 integer root extraction.  The floating-point route is one symmetric
 eigendecomposition: it gives the float A, the annealing objective and the
@@ -33,7 +42,11 @@ from .core import (
     InternalError,
     ResolvableDesign,
     ShapeMismatchError,
+    _blocks,
+    _concurrence,
+    _incidence,
     concurrence_matrix,
+    valid_blocks,
 )
 
 # Upper bound for r=8 reported by an external search package for these
@@ -113,6 +126,22 @@ def _moduli(n: int, width: int, bound: int) -> list[int]:
                         "characteristic polynomial")
 
 
+#: inverses of 1..n modulo each prime, by tuple of primes: row k-1 holds
+#: those of k; each value is replaced by a longer table, never mutated
+_INVERSES: dict[tuple[int, ...], np.ndarray] = {}
+
+
+def _inverses(n: int, primes: list[int]) -> np.ndarray:
+    """(n, P) int64 table of the inverses of 1..n modulo each of the P primes."""
+    key = tuple(primes)
+    table = _INVERSES.get(key)
+    if table is None or len(table) < n:
+        table = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)],
+                         dtype=np.int64)
+        _INVERSES[key] = table
+    return table[:n]
+
+
 def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     """Faddeev-LeVerrier modulo each prime: residues of det(xI - C), x^n first.
 
@@ -120,7 +149,7 @@ def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     C @ [M_1 | ... | M_P] for all P primes, reduced in int64; returns an
     (n + 1, P) array."""
     n, q = len(C), np.array(primes, dtype=np.int64)
-    inv = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=np.int64)
+    inv = _inverses(n, primes)
     out = np.ones((n + 1, len(q)), dtype=np.int64)
     diag = np.arange(n)
     M = np.tile(np.eye(n), len(q))
@@ -165,10 +194,33 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _times_power(coeffs: tuple[int, ...], c: int, m: int) -> tuple[int, ...]:
+    """coeffs (x^n first) times (x - c)^m, with exact binomial coefficients."""
+    factor = [math.comb(m, j) * (-c) ** j for j in range(m + 1)]
+    out = [0] * (len(coeffs) + m)
+    for i, a in enumerate(coeffs):
+        for j, f in enumerate(factor):
+            out[i + j] += a * f
+    return tuple(out)
+
+
 def characteristic_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[int, ...]:
-    """Characteristic polynomial of rk*I - Lambda, exact integer coefficients."""
+    """Characteristic polynomial of rk*I - Lambda, exact integer coefficients.
+
+    For the v x b incidence matrix N of a design with fewer blocks than
+    varieties (b < v) and no variety repeated within a block (N binary, so
+    Lambda = N N^T), this is (x - rk)^(v-b) times the characteristic
+    polynomial of the b x b matrix rk*I - N^T N, by the Weinstein-Aronszajn
+    identity.  Otherwise it is computed from the v x v matrix itself."""
     v, r, k = design_parameters(design)
-    return _charpoly(r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(design))
+    n = _incidence(v, valid_blocks(design))
+    b, rk = n.shape[1], r * k
+    if b < v and n.max() <= 1:
+        small = _charpoly(rk * np.eye(b, dtype=np.int64) - (n.T @ n).astype(np.int64))
+        return _times_power(small, rk, v - b)
+    lam = (n @ n.T).astype(np.int64)
+    np.fill_diagonal(lam, r)
+    return _charpoly(rk * np.eye(v, dtype=np.int64) - lam)
 
 
 def scaled_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[Fraction, ...]:
@@ -325,14 +377,12 @@ def _irrational_factors(residual: list[int], rational: list[SpectrumFactor],
     return [SpectrumFactor(round(sum(c) / len(c), 14), len(c), exact=False) for c in clusters]
 
 
-def _reduced_polynomial(design) -> tuple[Fraction | None, int, list[int], int]:
-    """(exact A or None, zero multiplicity, reduced low-order coefficients, rk).
+def _reduced_polynomial(design, v: int, rk: int) -> tuple[Fraction | None, int, list[int]]:
+    """(exact A or None, zero multiplicity, reduced low-order coefficients).
 
     The reduced polynomial has the forced zero roots stripped; A comes from
     its two lowest coefficients (the sum of reciprocal eigenvalues of rk*M
     is -a1/a0, scaled back by rk), with no root extraction needed."""
-    v, r, k = design_parameters(design)
-    rk = r * k
     coeffs = characteristic_polynomial(design)
     low = list(reversed(coeffs))  # low[i] = coefficient of x^i
     m = 0
@@ -340,7 +390,7 @@ def _reduced_polynomial(design) -> tuple[Fraction | None, int, list[int], int]:
         m += 1
     reduced = low[m:]
     a = Fraction(-(v - 1) * reduced[0], rk * reduced[1]) if m == 1 else None
-    return a, m, reduced, rk
+    return a, m, reduced
 
 
 def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpectrum:
@@ -350,7 +400,9 @@ def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpe
     zero root marks the design disconnected, in which case a_value is None
     and no factors are reported.
     """
-    a, m, reduced, rk = _reduced_polynomial(design)
+    v, r, k = design_parameters(design)
+    rk = r * k
+    a, m, reduced = _reduced_polynomial(design, v, rk)
     if m != 1:
         return EfficiencySpectrum(factors=(), a_value=None, connected=False, zero_multiplicity=m)
     factors: list[SpectrumFactor] = []
@@ -363,7 +415,10 @@ def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpe
         if mult:
             factors.append(SpectrumFactor(Fraction(t, rk), mult, exact=True))
     if len(rem) > 1:
-        floats = _float_factors(concurrence_matrix(design), rk)
+        # the v x v Lambda, from blocks characteristic_polynomial validated
+        lam = _concurrence(v, _blocks(design))
+        np.fill_diagonal(lam, r)
+        floats = _float_factors(lam, rk)
         factors.extend(_irrational_factors(rem, factors, floats))
     factors.sort(key=lambda f: float(f.value))
     return EfficiencySpectrum(
@@ -376,7 +431,8 @@ def a_value(design: ResolvableDesign | BlockDesign) -> Fraction:
 
     Computed from characteristic-polynomial coefficients alone, so it stays
     exact (and cheap) even when individual factors are irrational."""
-    a, m, _, _ = _reduced_polynomial(design)
+    v, r, k = design_parameters(design)
+    a, m, _ = _reduced_polynomial(design, v, r * k)
     if a is None:
         raise DisconnectedDesignError(
             f"design {design.label or '<unlabelled>'} is disconnected "

@@ -30,7 +30,7 @@ from .core import (
     valid_blocks,
 )
 from .efficiency import design_parameters, scaled_polynomial
-from .sylvester import Graph36, sylvester_graph
+from .sylvester import sylvester_graph
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,6 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
             if (min(u, w), max(u, w)) not in sigma_edges:
                 raise InternalError("Sylvester witness failed verification")
     return SylvesterWitness(permutation=perm)
-
-
-def graph_automorphism_order(graph: Graph36) -> int:
-    """Automorphism group order of a Graph36 (e.g. the Sylvester graph)."""
-    adj = [[y - 1 for y in graph.neighbors(x)] for x in range(1, 37)]
-    return _graph_canonical(adj).group.order()
 
 
 def concurrence_equivalent(d1, d2) -> bool:

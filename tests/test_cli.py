@@ -95,14 +95,26 @@ def test_evaluate_reference_design():
     assert "factor x9" in out and "11/12" in out
 
 
-def test_evaluate_computes_one_characteristic_polynomial(monkeypatch):
+def _charpoly_shapes(monkeypatch, name):
+    """The shape of every matrix whose characteristic polynomial `evaluate`
+    computes for a catalog design."""
     from rbdesign import efficiency
 
     calls = []
     charpoly = efficiency._charpoly
-    monkeypatch.setattr(efficiency, "_charpoly", lambda c: calls.append(c) or charpoly(c))
-    assert invoke("evaluate", "gamma-rc-5")[0] == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(efficiency, "_charpoly", lambda c: calls.append(c.shape) or charpoly(c))
+    assert invoke("evaluate", name)[0] == 0
+    return calls
+
+
+def test_evaluate_computes_one_characteristic_polynomial(monkeypatch):
+    # r = 5: the 30 blocks are fewer than the 36 varieties
+    assert _charpoly_shapes(monkeypatch, "gamma-rc-5") == [(30, 30)]
+
+
+def test_evaluate_eight_replicates_uses_the_variety_side(monkeypatch):
+    # r = 8: 48 blocks, so the 36 x 36 matrix is the smaller side
+    assert _charpoly_shapes(monkeypatch, "theta-8") == [(36, 36)]
 
 
 def test_evaluate_kv_format_and_precision():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbdesign import (
+    BlockDesign,
     DisconnectedDesignError,
     InternalError,
     ResolvableDesign,
@@ -15,6 +16,7 @@ from rbdesign import (
     a_value,
     a_value_float,
     average_variance,
+    catalog,
     concurrence_matrix,
     delta_design,
     dual,
@@ -52,10 +54,69 @@ def _information(d) -> np.ndarray:
     return r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(d)
 
 
+#: _oracle_charpoly of each information matrix met so far, by its bytes
+_ORACLE: dict[bytes, tuple[int, ...]] = {}
+
+
+def _oracle_information(C: np.ndarray) -> tuple[int, ...]:
+    """_oracle_charpoly(C), computed once per distinct square matrix."""
+    key = C.tobytes()
+    if key not in _ORACLE:
+        _ORACLE[key] = _oracle_charpoly(C)
+    return _ORACLE[key]
+
+
+def _charpoly_sides(monkeypatch) -> list[int]:
+    """Spy on _charpoly: the list it returns gets the size of each matrix."""
+    sides, charpoly = [], efficiency._charpoly
+    monkeypatch.setattr(efficiency, "_charpoly", lambda c: sides.append(len(c)) or charpoly(c))
+    return sides
+
+
 def test_charpoly_matches_oracle_on_catalog_and_duals(catalog_and_duals):
+    # the catalog takes the block side (b = 6r < 36) up to r = 5, the duals
+    # (b = 36 > v = 6r) and r >= 6 the variety side
     for name, d in catalog_and_duals:
         C = _information(d)
-        assert efficiency._charpoly(C) == _oracle_charpoly(C), name
+        expected = _oracle_information(C)
+        assert efficiency._charpoly(C) == expected, name
+        assert characteristic_polynomial(d) == expected, name
+
+
+def test_charpoly_matches_oracle_on_catalog_deletions(monkeypatch):
+    # every single-replicate deletion robustness evaluates: the block side
+    # (b = 6(r-1) < 36) for r <= 6, the variety side beyond
+    sides = _charpoly_sides(monkeypatch)
+    for e in catalog():
+        for i in range(e.design.r):
+            d = e.design.without_replicate(i)
+            assert characteristic_polynomial(d) == _oracle_information(_information(d)), d.label
+            assert sides[-1] == min(36, 6 * (e.design.r - 1)), d.label
+
+
+def test_charpoly_repeated_variety_takes_the_variety_side(monkeypatch):
+    # b = 3 < v = 6, but varieties 1 and 6 occur twice in one block: the
+    # diagonal of N N^T (4) is not the replication (2), so N^T N does not
+    # give rk*I - Lambda and the v x v matrix must be used
+    d = BlockDesign.from_blocks(6, [(1, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 6)])
+    sides = _charpoly_sides(monkeypatch)
+    assert characteristic_polynomial(d) == _oracle_charpoly(_information(d))
+    assert sides == [6]
+    # the same blocks without repeats take the block side
+    d = BlockDesign.from_blocks(6, [(1, 2, 3), (1, 2, 3), (4, 5, 6), (4, 5, 6)])
+    assert characteristic_polynomial(d) == _oracle_charpoly(_information(d))
+    assert sides == [6, 4]
+
+
+def test_inverse_table_grows_by_replacement():
+    primes = [13, 11, 7]
+    small = efficiency._inverses(3, primes)
+    large = efficiency._inverses(6, primes)
+    assert efficiency._inverses(2, primes).shape == (2, 3)
+    assert small.shape == (3, 3) and large.shape == (6, 3)
+    k = np.arange(1, 7)[:, None]
+    assert (k * large % primes == 1).all()
+    assert (small == large[:3]).all()
 
 
 @st.composite
@@ -71,9 +132,14 @@ def _random_designs(draw):
 @example(random_resolvable(64, 8, 12, np.random.default_rng(0)))
 @example(random_resolvable(16, 1, 12, np.random.default_rng(0)))
 @example(random_resolvable(16, 16, 12, np.random.default_rng(0)))
+@example(random_resolvable(36, 36, 5, np.random.default_rng(0)))
+@example(random_resolvable(8, 1, 3, np.random.default_rng(0)))
 def test_charpoly_matches_oracle_on_random_designs(design):
+    # k = v gives the smallest block side (b = r), k = 1 has b = rv >= v
     C = _information(design)
-    assert efficiency._charpoly(C) == _oracle_charpoly(C)
+    expected = _oracle_charpoly(C)
+    assert efficiency._charpoly(C) == expected
+    assert characteristic_polynomial(design) == expected
 
 
 def _near(c: int, residue: int, q: int) -> int:
@@ -236,6 +302,20 @@ def test_float_route_disagreement_raises(monkeypatch, fault):
     monkeypatch.setattr(efficiency, "_float_factors", faulty)
     with pytest.raises(InternalError):
         efficiency_spectrum(d)
+
+
+def test_spectrum_validates_once_and_floats_read_lambda(monkeypatch):
+    # gamma-rc-5 has irrational factors, so the float route runs too
+    d = gamma_design(5, "RC")
+    validated, seen = [], []
+    true_valid, true_factors = efficiency.valid_blocks, efficiency._float_factors
+    monkeypatch.setattr(efficiency, "valid_blocks", lambda x: validated.append(x) or true_valid(x))
+    monkeypatch.setattr(efficiency, "_float_factors",
+                        lambda lam, rk: seen.append(lam.copy()) or true_factors(lam, rk))
+    efficiency_spectrum(d)
+    assert validated == [d]
+    assert len(seen) == 1 and seen[0].dtype == np.int64
+    assert np.array_equal(seen[0], concurrence_matrix(d))
 
 
 def test_exact_invariant_failures_raise():

@@ -16,7 +16,7 @@ from rbdesign import (
     same_spectrum,
 )
 from rbdesign.core import ResolvableDesign
-from rbdesign.isomorphism import _graph_canonical, graph_automorphism_order
+from rbdesign.isomorphism import _graph_canonical
 from rbdesign.sylvester import sylvester_graph
 
 
@@ -106,7 +106,9 @@ def test_automorphism_generators_are_automorphisms(delta_rc_8):
 
 
 def test_sylvester_graph_automorphism_order():
-    assert graph_automorphism_order(sylvester_graph()) == 1440
+    graph = sylvester_graph()
+    adj = [[y - 1 for y in graph.neighbors(x)] for x in range(1, 37)]
+    assert _graph_canonical(adj).group.order() == 1440
 
 
 def test_isomorphic_implies_same_spectrum_and_order():
