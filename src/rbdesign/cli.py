@@ -8,7 +8,7 @@ yields identical bytes out.  Exit codes: 0 success/true, 1 false,
 2 parse/usage error, 3 disconnected design, 4 wrong shape or invalid design.
 Limits: --precision <= MAX_PRECISION (else exit 2); a design file has at
 most MAX_VARIETIES varieties (else exit 4): exact algebra takes O(v^5 log rk)
-float operations, about 0.15 s per characteristic polynomial at v = 64.
+float operations, about 0.07 s per characteristic polynomial at v = 64.
 """
 
 from __future__ import annotations

@@ -17,15 +17,15 @@ non-unit efficiency factors; Patterson & Williams, Biometrika 63, 1976).
 Designs with b >= v, or with a repeated variety, use the v x v matrix.
 Faddeev-LeVerrier runs modulo enough primes below 2^25 to cover the
 coefficients' size, one float64 matrix product per step for all primes at
-once; the Chinese remainder theorem rebuilds the integers and one further
-prime checks them.  A comes from the
-two lowest coefficients of the reduced polynomial, rational factors from
-integer root extraction.  The floating-point route is one symmetric
-eigendecomposition: it gives the float A, the annealing objective and the
-values of the irrational factors, whose multiplicities are checked against
-the exactly-deflated remainder (a gcd modulo 2^61 - 1 proves most
-remainders squarefree without the integer gcd chain).
-"""
+once, its result kept in float64 as symmetric residues (|M| <= q/2 + 2);
+the Chinese remainder theorem rebuilds the integers and one further prime
+checks them.  A comes from the two lowest coefficients of the reduced
+polynomial, rational factors from integer root extraction.  The
+floating-point route is one symmetric eigendecomposition: it gives the float
+A, the annealing objective and the values of the irrational factors, whose
+multiplicities are checked against the exactly-deflated remainder (a gcd
+modulo 2^61 - 1 proves most remainders squarefree without the integer gcd
+chain)."""
 
 from __future__ import annotations
 
@@ -146,18 +146,20 @@ def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     """Faddeev-LeVerrier modulo each prime: residues of det(xI - C), x^n first.
 
     C is an integer-valued float64 matrix.  Each step is one float product
-    C @ [M_1 | ... | M_P] for all P primes, reduced in int64; returns an
-    (n + 1, P) array."""
+    C @ [M_1 | ... | M_P] for all P primes, kept in float64 as symmetric
+    residues M - rint(M/q)*q; returns an (n + 1, P) int64 array."""
     n, q = len(C), np.array(primes, dtype=np.int64)
+    qf, qinv = np.repeat([q, 1 / q], n, axis=1)  # per column of [M_1 | ... | M_P]
     inv = _inverses(n, primes)
     out = np.ones((n + 1, len(q)), dtype=np.int64)
-    diag = np.arange(n)
+    diag = np.arange(n)[:, None] * (n * len(q) + 1) + np.arange(0, n * len(q), n)
     M = np.tile(np.eye(n), len(q))
     for k in range(1, n + 1):
-        AM = (C @ M).astype(np.int64).reshape(n, len(q), n) % q[:, None]
-        out[k] = -(AM[diag, :, diag].sum(axis=0) % q) * inv[k - 1] % q
-        AM[diag, :, diag] = (AM[diag, :, diag] + out[k]) % q
-        M = AM.reshape(n, -1).astype(np.float64)
+        M = C @ M
+        M -= np.rint(M * qinv) * qf
+        out[k] = -(M.flat[diag].sum(axis=0).astype(np.int64) % q) * inv[k - 1] % q
+        d = M.flat[diag] + out[k]
+        M.flat[diag] = d - np.rint(d / q) * q
     return out
 
 
@@ -173,8 +175,9 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     if C.dtype.kind not in "iu":
         raise InternalError(f"characteristic polynomial of a non-integer {C.dtype} matrix")
     n = len(C)
-    # primes below 2**width keep every sum in C @ [M_1 | ... | M_P] below
-    # 2**53, so the float64 product is exact in any summation order
+    # _charpoly_mod keeps |M| <= q/2 + 2 < 2**width (M / q is off by under 2/q),
+    # so every sum in C @ [M_1 | ... | M_P] stays below n * c_max * 2**width
+    # <= 2**53 and the float64 product is exact in any summation order
     c_max = max(int(C.max()), -int(C.min()))
     width = min(_PRIME_BITS, 53 - (n * c_max).bit_length())
     if width < 2:
@@ -383,11 +386,10 @@ def _reduced_polynomial(design, v: int, rk: int) -> tuple[Fraction | None, int, 
     The reduced polynomial has the forced zero roots stripped; A comes from
     its two lowest coefficients (the sum of reciprocal eigenvalues of rk*M
     is -a1/a0, scaled back by rk), with no root extraction needed."""
-    coeffs = characteristic_polynomial(design)
-    low = list(reversed(coeffs))  # low[i] = coefficient of x^i
-    m = 0
-    while low[m] == 0:
-        m += 1
+    if v < 2:
+        raise ShapeMismatchError(f"efficiency factors need v >= 2 varieties, got v={v}")
+    low = list(reversed(characteristic_polynomial(design)))  # low[i]: x^i
+    m = next(i for i, c in enumerate(low) if c)
     reduced = low[m:]
     a = Fraction(-(v - 1) * reduced[0], rk * reduced[1]) if m == 1 else None
     return a, m, reduced
@@ -459,6 +461,8 @@ def _reciprocal_sum(lam: np.ndarray, r: int, k: int) -> float:
 def a_value_float(design: ResolvableDesign | BlockDesign) -> float:
     """Independent A oracle via floating-point symmetric eigendecomposition."""
     v, r, k = design_parameters(design)
+    if v < 2:
+        raise ShapeMismatchError(f"efficiency factors need v >= 2 varieties, got v={v}")
     total = _reciprocal_sum(concurrence_matrix(design), r, k)
     if total == math.inf:
         raise DisconnectedDesignError("disconnected (float route)")

@@ -57,13 +57,16 @@ SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
     (("search", "--r", "2", "--restarts", "1", "--t0", "-1"), 2),
     (("evaluate", "gamma-rc-2", "--precision", "100000000"), 2),
     (("evaluate", "{wide}"), 4),
+    (("evaluate", "{one}"), 4),
 ])
 def test_error_paths_exit_without_traceback(tmp_path, argv, code):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("# caf\xe9\n1 2 3 4 5 6\n".encode("latin-1"))
     wide = tmp_path / "wide.txt"  # one block of 200 varieties: over MAX_VARIETIES
     wide.write_text(" ".join(map(str, range(1, 201))) + "\n")
-    argv = [a.format(dir=tmp_path, latin1=latin1, wide=wide) for a in argv]
+    one = tmp_path / "one.txt"  # a single variety: no contrast to evaluate
+    one.write_text("1\n")
+    argv = [a.format(dir=tmp_path, latin1=latin1, wide=wide, one=one) for a in argv]
     proc = run_module(*argv)
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ")

@@ -1,6 +1,8 @@
 """Exact A-criterion machinery against independent oracles and known values."""
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,25 +35,48 @@ from rbdesign.sylvester import galaxy, sylvester_graph
 
 
 def _oracle_charpoly(C: np.ndarray) -> tuple[int, ...]:
-    """det(xI - C), x^n first, by Faddeev-LeVerrier over Python ints: the slow
-    route the modular one replaced, every trace division checked exact."""
+    """det(xI - C), x^n first, over Python ints: Newton's identities on the
+    power sums tr(C^j), j = 1..n, every division checked exact.  Baby steps
+    C^1..C^m and giant steps G = C^m, G^2, ... (m = isqrt(n)) give each
+    tr(G^i C^j) as an elementwise sum, so about 2 sqrt(n) products are made."""
     n = C.shape[0]
     A = C.astype(object)
-    M = np.eye(n, dtype=object)
-    eye = np.eye(n, dtype=object)
+    m = max(1, math.isqrt(n))
+    baby = [np.eye(n, dtype=object)]
+    for _ in range(m):
+        baby.append(baby[-1] @ A)
+    sums, giant = [n], baby[0]
+    while len(sums) <= n:
+        sums.extend(int((giant * b.T).sum()) for b in baby[1:])
+        giant = giant @ baby[m]
     coeffs = [1]
     for k in range(1, n + 1):
-        AM = A @ M
-        q, rem = divmod(int(np.trace(AM)), k)
+        q, rem = divmod(-sum(c * s for c, s in zip(coeffs, sums[k:0:-1])), k)
         assert rem == 0
-        coeffs.append(-q)
-        M = AM + (-q) * eye
+        coeffs.append(q)
     return tuple(coeffs)
 
 
 def _information(d) -> np.ndarray:
     v, r, k = efficiency.design_parameters(d)
     return r * k * np.eye(v, dtype=np.int64) - concurrence_matrix(d)
+
+
+def _expand(roots: dict[int, int]) -> tuple[int, ...]:
+    """prod (x - root)^multiplicity, x^n first."""
+    poly = (1,)
+    for root, mult in roots.items():
+        for _ in range(mult):
+            poly = tuple(a - root * b for a, b in zip(poly + (0,), (0,) + poly))
+    return poly
+
+
+def test_oracle_gives_the_closed_forms():
+    # x (x-6)^10 (x-12)^25 for the lattice gamma-rc-2 (rk = 12), and
+    # x (x-39)^16 (x-42)^10 (x-44)^9 for gamma-rc-8 (rk = 48)
+    assert _oracle_charpoly(_information(gamma_design(2, "RC"))) == _expand({0: 1, 6: 10, 12: 25})
+    assert (_oracle_charpoly(_information(gamma_design(8, "RC")))
+            == _expand({0: 1, 39: 16, 42: 10, 44: 9}))
 
 
 #: _oracle_charpoly of each information matrix met so far, by its bytes
@@ -172,6 +197,57 @@ def test_charpoly_exact_for_large_entries(monkeypatch, n):
     assert moduli[-1][0] == width
 
 
+def test_charpoly_mod_exact_at_the_float_limit():
+    # entries within 1% of the largest n * max|C| * (q/2 + 2) < 2**53
+    # allows: exact only while the float step keeps every residue symmetric,
+    # the diagonal included.  Residues sit at -+q/2; in the near-constant
+    # positive matrices every M_1 entry off the diagonal is (q - 1)/2, and
+    # the diagonal residue 1/(n - 1) of C puts the diagonal of M_1 at -1,
+    # which a floor would leave at q - 1
+    primes = list(islice(efficiency._primes_below(21), 3))
+    q = primes[0]
+    rng = np.random.default_rng(12)
+
+    def limit(n):
+        return (2**54 - 1) // (n * (q + 4))
+
+    c = limit(2)
+    inputs = [np.array([[_near(c, (q - 1) // 2, q), -_near(c, (q - 1) // 2, q)],
+                        [-_near(c, (q - 1) // 2, q), -_near(c, (q - 3) // 2, q)]])]
+    for n in (6, 12):
+        C = _near(limit(n), (q - 1) // 2, q) - q * rng.integers(0, 3, size=(n, n))
+        np.fill_diagonal(C, _near(limit(n), pow(n - 1, -1, q), q) - q * rng.integers(0, 3, n))
+        inputs.append(C)
+    for C in inputs:
+        assert limit(len(C)) * 0.99 < np.abs(C).max() <= limit(len(C))
+        expected = np.array(_oracle_charpoly(C), dtype=object)
+        residues = efficiency._charpoly_mod(C.astype(np.float64), primes)
+        for col, p in enumerate(primes):
+            assert residues[:, col].tolist() == (expected % p).tolist(), (len(C), p)
+
+
+def test_prime_bits_within_the_exact_range_of_the_primality_test():
+    # 3215031751 = 151 * 751 * 28351 is the smallest strong pseudoprime to
+    # bases 2, 3, 5 and 7, which _is_prime calls prime: wider primes need
+    # more Miller-Rabin bases
+    assert 3_215_031_751 == 151 * 751 * 28351 and efficiency._is_prime(3_215_031_751)
+    assert 2**efficiency._PRIME_BITS < 3_215_031_751
+
+
+def _trial_division(q: int) -> bool:
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [efficiency._is_prime(q) for q in range(20_000)] == [
+        _trial_division(q) for q in range(20_000)]
+    widest = list(islice(efficiency._primes_below(25), 50))
+    assert widest == sorted(widest, reverse=True) and widest[0] < 2**25
+    assert all(_trial_division(q) for q in widest)
+    skipped = set(range(widest[-1], widest[0] + 1, 2)) - set(widest)
+    assert not any(_trial_division(q) for q in skipped)
+
+
 def test_charpoly_rejects_entries_beyond_exact_products():
     # too large for any prime width: an error, never a silent overflow
     for C in (np.array([[2**52, 0], [0, 1]]), np.array([[2**62, 1], [1, -2**62]]),
@@ -245,6 +321,13 @@ def test_exact_a_for_eight_replicate_reference(gamma_rc_8, theta8, delta_rc_8):
 
 def test_seven_decimal_value_for_five_galaxies():
     assert round_decimal(a_value(gamma_design(5)), 7) == "0.8382815"
+
+
+def test_single_variety_has_no_efficiency_factors():
+    d = ResolvableDesign.from_replicates([[[1]]], v=1, k=1)
+    for f in (a_value, efficiency_spectrum, a_value_float):
+        with pytest.raises(ShapeMismatchError, match="v >= 2"):
+            f(d)
 
 
 def test_disconnected_single_galaxy_raises():
