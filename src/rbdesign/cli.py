@@ -6,9 +6,10 @@ sylvester-check, dual, catalog, export.  Design arguments are catalog names
 Randomized verbs take a seed (defaulted and echoed), so identical argv
 yields identical bytes out.  Exit codes: 0 success/true, 1 false,
 2 parse/usage error, 3 disconnected design, 4 wrong shape or invalid design.
-Limits: --precision <= MAX_PRECISION (else exit 2); a design file has at
-most MAX_VARIETIES varieties (else exit 4): exact algebra takes O(v^5 log rk)
-float operations, about 0.07 s per characteristic polynomial at v = 64.
+Limits: --precision <= MAX_PRECISION (else exit 2); a design file, and
+search --v, has at most MAX_VARIETIES varieties (else exit 4): exact algebra
+takes O(v^5 log rk) float operations, about 0.07 s per characteristic
+polynomial at v = 64; search --r is at most MAX_REPLICATES (else exit 4).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ EXIT_SHAPE = 4
 
 MAX_PRECISION = 1000
 MAX_VARIETIES = 64  # every catalog design and its dual (v <= 48) fits
+MAX_REPLICATES = 64  # the paper's designs have r <= 8
 
 
 def _duration(text: str) -> float:
@@ -158,6 +160,10 @@ def _cmd_evaluate(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
+    if args.v > MAX_VARIETIES:
+        raise ShapeMismatchError(f"v={args.v} exceeds the limit of {MAX_VARIETIES} varieties")
+    if args.r > MAX_REPLICATES:
+        raise ShapeMismatchError(f"r={args.r} exceeds the limit of {MAX_REPLICATES} replicates")
     config = SearchConfig(
         v=args.v, k=args.k, r=args.r,
         initial_temperature=args.t0, cooling_rate=args.cooling,

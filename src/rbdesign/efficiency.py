@@ -501,12 +501,11 @@ class RobustnessReport:
     disconnected_deletions: tuple[int, ...]
 
 
-def robustness(design: ResolvableDesign, skip_disconnected: bool = False) -> RobustnessReport:
+def robustness(design: ResolvableDesign) -> RobustnessReport:
     """Evaluate the loss of each single replicate.
 
     Every deletion is evaluated exactly.  A deletion that disconnects the
-    design is reported as None; by default it poisons worst/average (they
-    become None), unless skip_disconnected excludes it from both.
+    design is reported as None and makes worst and average None.
     """
     if design.r < 3:
         raise ShapeMismatchError(f"robustness needs r >= 3, got r={design.r}")
@@ -518,12 +517,11 @@ def robustness(design: ResolvableDesign, skip_disconnected: bool = False) -> Rob
         except DisconnectedDesignError:
             values.append(None)
             bad.append(i)
-    good = [x for x in values if x is not None]
-    if (bad and not skip_disconnected) or not good:
+    if bad:
         worst = average = None
     else:
-        worst = min(good)
-        average = sum(good, Fraction(0)) / len(good)
+        worst = min(values)
+        average = sum(values, Fraction(0)) / len(values)
     return RobustnessReport(
         per_replicate=tuple(values),
         worst=worst,

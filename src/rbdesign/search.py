@@ -4,19 +4,16 @@ The move set swaps two varieties between two blocks of one replicate, which
 preserves resolvability by construction.  The minimized objective is the
 trace of the Moore-Penrose inverse P = C^+ of the scaled information matrix
 C = I - Lambda/(rk) (the sum of reciprocal canonical efficiency factors), so
-its argmin is the argmax of the A-criterion; disconnected designs score +inf
-and are never accepted.
+its argmin is the argmax of the A-criterion.
 
-A swap adds a rank-2 term to the integer concurrence matrix Lambda, exactly.
-While the design is connected the state keeps P and P^2: a swap is scored
-by a 2x2 Woodbury solve on its two blocks' 2k x 2k submatrices, and score
-keeps the solve so that accepting the swap updates P and P^2 by the same
-terms without solving again.  A swap that disconnects, or any swap from a
-disconnected state, is scored by the float route (Lambda plus the rank-2
-term, one eigendecomposition).  Lambda itself is rebuilt from the blocks
-only when the float route, a refactorization or the final objective reads
-it.  Every objective comparison uses the tie tolerance _TIE, far above
-either route's float noise, so both routes take the same decisions.
+The state is connected by construction: each restart redraws its random
+start until it is connected, and a swap that disconnects scores +inf and is
+never taken.  A swap adds a rank-2 term to Lambda, so the state keeps P and
+P^2 and scores a swap by a 2x2 Woodbury solve on its two blocks' 2k x 2k
+submatrices; a singular 2x2 system means the swap disconnects.  Score keeps
+the solve so that accepting the swap updates P and P^2 by the same terms.
+Every objective comparison uses the tie tolerance _TIE, far above the float
+noise of the update.
 
 A proposal draws its whole move (replicate, ordered block pair, two
 positions) with one rng call.  Polish takes the *first* improving swap in
@@ -38,16 +35,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DisconnectedDesignError, ResolvableDesign, _concurrence, write_design
+from .core import DisconnectedDesignError, ResolvableDesign, concurrence_matrix, write_design
 from .efficiency import _reciprocal_sum, a_value, a_value_float
 
 #: tie tolerance of every objective comparison (Metropolis rule, new best,
-#: polish), far above the float noise of either scoring route
+#: polish), far above the float noise of the Woodbury update
 _TIE = 1e-12
 #: K is singular (the swap disconnects) when |det K| < _SINGULAR * |K|_F^2
 _SINGULAR = 1e-8
-#: a swap adds U S U^T to the concurrence matrix (see SearchState._rank2)
-_S = np.array([[2.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,9 @@ class SearchConfig:
             raise ValueError("r and moves_per_temperature must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.r == 1 or self.k == 1:
+            what = "r=1 (a single replicate)" if self.r == 1 else "k=1 (singleton blocks)"
+            raise DisconnectedDesignError(f"every design with {what} is disconnected")
 
 
 def random_resolvable(v: int, k: int, r: int, rng: np.random.Generator) -> ResolvableDesign:
@@ -104,48 +102,34 @@ class Move:
 
 
 class SearchState:
-    """Mutable annealing state: blocks, objective, and, while the design is
-    connected, pp = (P, P^2) with P = C^+."""
+    """Mutable annealing state of a connected design: blocks, objective and
+    pp = (P, P^2) with P = C^+.  Raises DisconnectedDesignError for a
+    disconnected design."""
 
     def __init__(self, design: ResolvableDesign):
         self.v, self.k, self.r = design.v, design.k, design.r
         self.blocks = [[list(b) for b in rep] for rep in design.replicates]
-        from .core import concurrence_matrix
-
-        self._lam = concurrence_matrix(design)
-        # U = [u, g] on blocks A and B in _pair order, its outer products
-        # flattened (score contracts them with P and P^2 by one product) and
-        # the change U S U^T of Lambda
+        lam = concurrence_matrix(design)
+        self.objective = _reciprocal_sum(lam, self.r, self.k)
+        if not math.isfinite(self.objective):
+            raise DisconnectedDesignError("the annealing state needs a connected design")
+        w, vec = np.linalg.eigh(np.eye(self.v) - lam / (self.r * self.k))
+        inv, vec = 1.0 / w[1:], vec[:, 1:]  # w[0] is the zero on the all-ones vector
+        self.pp = np.einsum("na,ia,ja->nij", np.stack([inv, inv * inv]), vec, vec)
+        # U = [u, g] on blocks A and B in _pair order and its outer products
+        # flattened (score contracts them with P and P^2 by one product)
         k = self.k
         self._u = np.zeros((2 * k, 2))
         self._u[[0, k], 0] = -1.0, 1.0  # u = e_b - e_a
         self._u[:, 1] = np.repeat([1.0, -1.0], k)  # g = 1_A - 1_B
         self._uu = np.einsum("ia,jb->ijab", self._u, self._u).reshape(-1, 4)
-        self._dlam = np.einsum("ia,ab,jb->ij", self._u, _S, self._u).astype(np.int64)
         # every move of one replicate in polish order: (block a, pos a, block b, pos b)
         n_blocks, kk = self.v // k, k * k
         ba, bb = np.triu_indices(n_blocks, 1)
         pa, pb = np.divmod(np.arange(kk), k)
         self._moves = np.stack([ba.repeat(kk), np.tile(pa, ba.size),
                                 bb.repeat(kk), np.tile(pb, ba.size)])
-        self._scored = None  # (move, idx, K^-1, U^T P^2 U) of the last Woodbury score
-        self._factor()
-
-    @property
-    def lam(self) -> np.ndarray:
-        """The integer concurrence matrix, rebuilt from the blocks after a swap."""
-        if self._lam is None:
-            self._lam = _concurrence(self.v, [b for rep in self.blocks for b in rep])
-        return self._lam
-
-    def _factor(self) -> None:
-        """Objective by the float route; pp from one eigendecomposition."""
-        self.objective = _reciprocal_sum(self.lam, self.r, self.k)
-        self.pp = None
-        if math.isfinite(self.objective):
-            w, vec = np.linalg.eigh(np.eye(self.v) - self.lam / (self.r * self.k))
-            inv, vec = 1.0 / w[1:], vec[:, 1:]  # w[0] is the zero on the all-ones vector
-            self.pp = np.einsum("na,ia,ja->nij", np.stack([inv, inv * inv]), vec, vec)
+        self._scored = None  # (move, idx, K^-1, U^T P^2 U) of the last score
 
     def design(self, label: str = "") -> ResolvableDesign:
         return ResolvableDesign.from_replicates(self.blocks, v=self.v, k=self.k, label=label)
@@ -157,43 +141,36 @@ class SearchState:
         return np.subtract(blk_a[i:] + blk_a[:i] + blk_b[j:] + blk_b[:j], 1)
 
     def _swap(self, mv: Move) -> None:
-        """Swap the two varieties; lam is rebuilt when next read."""
-        self._lam = None
+        """Swap the two varieties."""
         rep = self.blocks[mv.replicate]
         blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
         blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
 
     def _rank2(self, mv: Move):
-        """The swap as Lambda += U S U^T, U = [u, g], u = e_b - e_a and
-        g = 1_A - 1_B (a in block A, b in block B), with U^T P U and
-        U^T P^2 U read from the 2k x 2k submatrices on A and B.  Returns
-        their indices, K^-1 for K = -rk S^-1 + U^T P U, U^T P^2 U and
-        delta = -tr(K^-1 U^T P^2 U); K^-1 and delta are None if K is singular."""
+        """The swap as Lambda += U S U^T, S = [[2, 1], [1, 0]], U = [u, g],
+        u = e_b - e_a and g = 1_A - 1_B (a in block A, b in block B), with
+        U^T P U and U^T P^2 U read from the 2k x 2k submatrices on A and B.
+        Returns their indices, K^-1 for K = -rk S^-1 + U^T P U, U^T P^2 U
+        and delta = -tr(K^-1 U^T P^2 U).  If K is singular the swap
+        disconnects (u and g are orthogonal to the all-ones vector): K^-1 is
+        None and delta is +inf."""
         idx = self._pair(mv)
         sub = self.pp.take(idx, 1).take(idx, 2).reshape(2, -1)
         ((p, q), (_, s)), g = (sub @ self._uu).reshape(2, 2, 2).tolist()
         q, s = q - self.r * self.k, s + 2 * self.r * self.k
         det = p * s - q * q
         if abs(det) <= _SINGULAR * (p * p + 2 * q * q + s * s):
-            return idx, None, g, None
+            return idx, None, g, math.inf
         (x, y), (_, z) = g
         return idx, [[s / det, -q / det], [-q / det, p / det]], g, (2 * q * y - s * x - p * z) / det
 
     def score(self, mv: Move) -> Move:
-        """Fill mv.objective_after and mv.delta, leaving the state unchanged:
-        by Woodbury while the design stays connected, else by the float
-        route (swap, score, swap back; a swap is its own inverse).  The
-        Woodbury terms are kept for accept."""
-        idx, kinv, g, delta = self._rank2(mv) if self.pp is not None else (None,) * 4
+        """Fill mv.objective_after and mv.delta (+inf for a swap that
+        disconnects), leaving the state unchanged.  The Woodbury terms are
+        kept for accept."""
+        idx, kinv, g, mv.delta = self._rank2(mv)
         self._scored = (mv, idx, kinv, g)
-        if delta is None:
-            lam, idx = self.lam.copy(), self._pair(mv)
-            lam[idx[:, None], idx] += self._dlam
-            mv.objective_after = _reciprocal_sum(lam, self.r, self.k)
-            mv.delta = mv.objective_after - self.objective
-        else:
-            mv.delta = delta
-            mv.objective_after = self.objective + delta
+        mv.objective_after = self.objective + mv.delta
         return mv
 
     def propose(self, rng: np.random.Generator) -> Move:
@@ -206,15 +183,16 @@ class SearchState:
         """Apply a scored move by the Woodbury terms of its score (scoring
         it again if another move was scored since).  With X = P U, Y = P^2 U
         and W = [X, Y]: P -= X K^-1 X^T and
-        P^2 -= W [[-K^-1 G K^-1, K^-1], [K^-1, 0]] W^T, G = U^T P^2 U."""
+        P^2 -= W [[-K^-1 G K^-1, K^-1], [K^-1, 0]] W^T, G = U^T P^2 U.
+        Raises DisconnectedDesignError, changing nothing, if the swap
+        disconnects."""
         if self._scored is None or self._scored[0] is not mv:
             self.score(mv)
         _, idx, kinv, g = self._scored
+        if kinv is None:
+            raise DisconnectedDesignError("the swap disconnects the design")
         self._scored = None
         self._swap(mv)
-        if kinv is None:  # scored by the float route: refactor
-            self._factor()
-            return
         self.objective = mv.objective_after
         w = np.concatenate(self.pp.take(idx, 2) @ self._u, axis=1)
         kinv = np.array(kinv)
@@ -270,7 +248,7 @@ class RestartOutcome:
     index: int
     design: ResolvableDesign
     objective: float
-    a_exact: Fraction | None
+    a_exact: Fraction
     evaluations: int
     trace: tuple[TracePoint, ...]
 
@@ -299,10 +277,9 @@ def _polish(state: SearchState, deadline: float | None) -> int:
     """First-improvement sweeps until no single swap improves (local optimum).
 
     Moves are tried in the order (replicate, block a < block b, pos a, pos b)
-    and the first improving one is taken.  While P is known, one vector scan
-    of the replicate's remaining moves finds the next candidate, which score
-    then decides; after an accept the scan resumes at the next move.
-    Without P every move is scored by the float route."""
+    and the first improving one is taken.  One vector scan of the
+    replicate's remaining moves finds the next candidate, which score then
+    decides; after an accept the scan resumes at the next move."""
     evals = 0
     n_moves = state._moves.shape[1]
     improved = True
@@ -313,11 +290,9 @@ def _polish(state: SearchState, deadline: float | None) -> int:
             while start < n_moves:
                 if deadline is not None and time.monotonic() > deadline:
                     return evals
-                if state.pp is None:
-                    hit = start
-                else:  # looser than score's test: their float noise hides no improvement
-                    hits = np.flatnonzero(state._deltas(ri, start) < -_TIE / 2)
-                    hit = start + int(hits[0]) if hits.size else n_moves
+                # looser than score's test: their float noise hides no improvement
+                hits = np.flatnonzero(state._deltas(ri, start) < -_TIE / 2)
+                hit = start + int(hits[0]) if hits.size else n_moves
                 evals += min(hit + 1, n_moves) - start
                 if hit == n_moves:
                     break
@@ -331,7 +306,12 @@ def _polish(state: SearchState, deadline: float | None) -> int:
 
 def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> RestartOutcome:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
-    state = SearchState(random_resolvable(config.v, config.k, config.r, rng))
+    state = None
+    while state is None:  # connected designs exist for k, r >= 2: each draw may be one
+        try:
+            state = SearchState(random_resolvable(config.v, config.k, config.r, rng))
+        except DisconnectedDesignError:
+            pass
     best_blocks = [list(map(list, rep)) for rep in state.blocks]
     best_f = state.objective
     evals = 0
@@ -361,15 +341,11 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
     evals += _polish(best_state, deadline)
     label = f"search r={config.r} seed={config.seed} restart={index}"
     design = best_state.design(label)
-    try:
-        exact = a_value(design)
-    except DisconnectedDesignError:
-        exact = None
     return RestartOutcome(
         index=index,
         design=design,
-        objective=_reciprocal_sum(best_state.lam, config.r, config.k),
-        a_exact=exact,
+        objective=_reciprocal_sum(concurrence_matrix(design), config.r, config.k),
+        a_exact=a_value(design),
         evaluations=evals,
         trace=tuple(trace),
     )
@@ -380,8 +356,7 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     Deterministic for a fixed config as long as the time budget does not
     bind; when it does, the best design found so far is returned with
-    budget_exhausted set.  Raises DisconnectedDesignError when no restart
-    ends connected.
+    budget_exhausted set.
     """
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget is not None else None
@@ -389,12 +364,9 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     def rank(outcome: RestartOutcome):
         # maximize exact A; tie-break lowest restart index, then text
-        a = outcome.a_exact if outcome.a_exact is not None else Fraction(-1)
-        return (-a, outcome.index, write_design(outcome.design))
+        return (-outcome.a_exact, outcome.index, write_design(outcome.design))
 
     winner = min(outcomes, key=rank)
-    if winner.a_exact is None:
-        raise DisconnectedDesignError("search produced no connected design; extend the schedule")
     elapsed = time.monotonic() - start
     return SearchResult(
         design=winner.design,

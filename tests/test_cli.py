@@ -58,6 +58,9 @@ SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
     (("evaluate", "gamma-rc-2", "--precision", "100000000"), 2),
     (("evaluate", "{wide}"), 4),
     (("evaluate", "{one}"), 4),
+    (("search", "--v", "6", "--k", "1", "--r", "3"), 3),
+    (("search", "--r", "2", "--v", "600000", "--k", "6"), 4),
+    (("search", "--r", "50000000"), 4),
 ])
 def test_error_paths_exit_without_traceback(tmp_path, argv, code):
     latin1 = tmp_path / "latin1.txt"

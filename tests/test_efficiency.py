@@ -547,8 +547,6 @@ def test_robustness_disconnected_deletion_flagging():
     assert report.per_replicate == (None, None, None)
     assert report.worst is None and report.average is None
     assert report.disconnected_deletions == (0, 1, 2)
-    skipped = robustness(d, skip_disconnected=True)
-    assert skipped.worst is None  # nothing left to aggregate
 
 
 def test_dual_design_evaluation():

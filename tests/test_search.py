@@ -18,6 +18,7 @@ from rbdesign import (
     write_design,
 )
 from rbdesign import search
+from rbdesign.core import DisconnectedDesignError, _concurrence
 from rbdesign.efficiency import _reciprocal_sum
 from rbdesign.search import Move, SearchConfig, SearchState, anneal, _polish
 
@@ -61,12 +62,18 @@ def test_config_validation():
     for t0 in (-1.0, 1e-4, math.nan):  # at or below min_temperature: no stage would run
         with pytest.raises(ValueError):
             SearchConfig(initial_temperature=t0)
+    with pytest.raises(ValueError):
+        SearchConfig(k=0)
+    for settings in ({"r": 1}, {"v": 6, "k": 1, "r": 3}):  # every such design is disconnected
+        with pytest.raises(DisconnectedDesignError):
+            SearchConfig(**settings)
 
 
 def test_objective_examples(gamma_rc_8):
     assert 35 / a_value_float(gamma_rc_8) == pytest.approx(
         float(Fraction(35 * 8196, 7007)), rel=1e-12)
-    assert SearchState(gamma_design(1)).objective == math.inf
+    with pytest.raises(DisconnectedDesignError):
+        SearchState(gamma_design(1))
 
 
 def test_objective_matches_exact_a():
@@ -136,10 +143,13 @@ def test_move_delta_matches_full_recomputation():
         assert mv.delta == pytest.approx(f_after - f_before, abs=1e-9)
 
 
+#: two replicates on 12 varieties that one swap (7 <-> 6) disconnects
+_SPLITTABLE = ResolvableDesign.from_replicates(
+    [[range(1, 7), range(7, 13)], [[1, 2, 3, 4, 5, 7], [6, 8, 9, 10, 11, 12]]], v=12, k=6)
+
+
 def test_disconnecting_swap_scores_inf_and_is_never_taken():
-    design = ResolvableDesign.from_replicates(
-        [[range(1, 7), range(7, 13)], [[1, 2, 3, 4, 5, 7], [6, 8, 9, 10, 11, 12]]], v=12, k=6)
-    state = SearchState(design)
+    state = SearchState(_SPLITTABLE)
     assert math.isfinite(state.objective)
     mv = state.score(Move(1, 0, 5, 1, 0))  # 7 <-> 6: replicate 2 becomes replicate 1
     assert (state.blocks[1][0][5], state.blocks[1][1][0]) == (7, 6)
@@ -148,6 +158,28 @@ def test_disconnecting_swap_scores_inf_and_is_never_taken():
     _polish(state, deadline=None)
     assert math.isfinite(state.objective)
     assert state.objective == pytest.approx(_reciprocal_sum_full(state.design()), abs=1e-12)
+
+
+def test_disconnecting_swap_scores_without_an_eigendecomposition(monkeypatch):
+    state = SearchState(_SPLITTABLE)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scoring a swap decomposed a matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    mv = state.score(Move(1, 0, 5, 1, 0))
+    assert mv.delta == mv.objective_after == math.inf
+
+
+def test_accept_of_a_disconnecting_swap_raises_and_changes_nothing():
+    state = SearchState(_SPLITTABLE)
+    blocks = [[list(b) for b in rep] for rep in state.blocks]
+    pp, objective = state.pp.copy(), state.objective
+    mv = state.score(Move(1, 0, 5, 1, 0))
+    with pytest.raises(DisconnectedDesignError):
+        state.accept(mv)
+    assert state.blocks == blocks and np.array_equal(state.pp, pp) and state.objective == objective
 
 
 def test_neighbourhood_matches_score():
@@ -160,29 +192,13 @@ def test_neighbourhood_matches_score():
             np.testing.assert_allclose(deltas, scored, rtol=0, atol=1e-9)
             np.testing.assert_array_equal(state._deltas(ri, 100), deltas[100:])
     # a disconnecting swap scores +inf in the scan, and polish leaves it
-    design = ResolvableDesign.from_replicates(
-        [[range(1, 7), range(7, 13)], [[1, 2, 3, 4, 5, 7], [6, 8, 9, 10, 11, 12]]], v=12, k=6)
-    state = SearchState(design)
+    state = SearchState(_SPLITTABLE)
     hit = [tuple(m) for m in state._moves.T.tolist()].index((0, 5, 1, 0))  # 7 <-> 6
     deltas = state._deltas(1)
     assert deltas[hit] == math.inf == state.score(Move(1, 0, 5, 1, 0)).delta
     assert np.isfinite(np.delete(deltas, hit)).all()
     _polish(state, deadline=None)
-    assert state.pp is not None and validate(state.design()) == []
-
-
-def test_polish_without_p_takes_the_float_route():
-    halves = [range(1, 7), range(7, 13)]
-    design = ResolvableDesign.from_replicates([halves, halves], v=12, k=6)  # disconnected
-    state = SearchState(design)
-    assert state.pp is None and state.objective == math.inf
-    mv = state.score(Move(0, 0, 0, 1, 0))  # 1 <-> 7 connects
-    state._swap(mv)
-    assert mv.objective_after == pytest.approx(_reciprocal_sum_full(state.design()), abs=1e-12)
-    state._swap(mv)
-    oracle = _OracleState(design)
-    assert _polish(state, deadline=None) == _polish(oracle, deadline=None)
-    assert state.blocks == oracle.blocks and state.pp is not None
+    assert validate(state.design()) == []
 
 
 def test_propose_decode_is_a_bijection():
@@ -201,23 +217,19 @@ def test_woodbury_state_does_not_drift():
     for _ in range(10_000):
         state.accept(state.propose(rng))
     fresh = SearchState(state.design())
-    assert np.array_equal(state.lam, fresh.lam)
     assert np.abs(state.pp - fresh.pp).max() < 1e-10
     assert state.objective == pytest.approx(fresh.objective, abs=1e-10)
 
 
 class _OracleState(SearchState):
-    """The float-route scorer for every swap: swap, one eigendecomposition,
-    swap back; the fast scorer must take the same decisions.  It keeps no P,
-    so polish scores its moves one by one through this score."""
-
-    def _factor(self):
-        self.objective = _reciprocal_sum(self.lam, self.r, self.k)
-        self.pp = None
+    """The float-route scorer for every swap: swap, one eigendecomposition
+    of Lambda from the blocks, swap back; the fast scorer must take the same
+    decisions.  Polish scores its moves one by one through this score."""
 
     def score(self, mv):
         self._swap(mv)
-        mv.objective_after = _reciprocal_sum(self.lam, self.r, self.k)
+        lam = _concurrence(self.v, [b for rep in self.blocks for b in rep])
+        mv.objective_after = _reciprocal_sum(lam, self.r, self.k)
         self._swap(mv)
         mv.delta = mv.objective_after - self.objective
         return mv
@@ -226,33 +238,32 @@ class _OracleState(SearchState):
         self._swap(mv)
         self.objective = mv.objective_after
 
+    def _deltas(self, ri, start=0):
+        """Scored deltas up to the first below polish's threshold, +inf after it."""
+        deltas = np.full(self._moves.shape[1] - start, math.inf)
+        for i, m in enumerate(self._moves[:, start:].T):
+            deltas[i] = self.score(Move(ri, *map(int, m))).delta
+            if deltas[i] < -search._TIE / 2:
+                break
+        return deltas
+
 
 def _short(r, restarts=1, seed=0, v=36, k=6):
     return SearchConfig(v=v, k=k, r=r, restarts=restarts, seed=seed, moves_per_temperature=40,
                         initial_temperature=0.2, min_temperature=5e-3)
 
 
-def _anneal_or_error(config):
-    try:
-        return anneal(config)
-    except search.DisconnectedDesignError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("config", [_short(2, seed=1), _short(3, seed=2), _short(4, seed=3),
                                     _short(5, seed=4), _short(6, seed=5), _short(7, seed=6),
                                     _short(8, seed=7), _short(4, restarts=3, seed=8),
                                     _short(3, seed=9, v=12, k=6), _short(4, seed=10, v=8, k=4),
-                                    _short(3, seed=11, v=6, k=1)],
+                                    _short(2, seed=11, v=4, k=2)],
                          ids=lambda c: (f"r{c.r}x{c.restarts}" if (c.v, c.k) == (36, 6)
                                         else f"v{c.v}k{c.k}r{c.r}x{c.restarts}"))
 def test_anneal_matches_oracle_scorer(monkeypatch, config):
-    fast = _anneal_or_error(config)
+    fast = anneal(config)
     monkeypatch.setattr(search, "SearchState", _OracleState)
-    slow = _anneal_or_error(config)
-    if config.k == 1:  # C = 0: every design with singleton blocks is disconnected
-        assert fast == slow == "search produced no connected design; extend the schedule"
-        return
+    slow = anneal(config)
     assert write_design(fast.design) == write_design(slow.design)
     assert (fast.a_exact, fast.evaluations, fast.restart_index, fast.objective) == (
         slow.a_exact, slow.evaluations, slow.restart_index, slow.objective)
