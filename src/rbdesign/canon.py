@@ -24,13 +24,17 @@ stabilizer of v1..v(i-1) maps vi to; the stabilizer of the whole path fixes
 a discrete partition and is trivial.
 
 Scale target is <= 90 vertices (designs on 36 varieties plus their blocks),
-where plain dict-based refinement is fast enough.
+where plain dict-based refinement is fast enough.  Certificates read the
+graph's boolean adjacency matrix: the packed upper triangle of its
+relabeling, as nauty packs adjacency rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -103,28 +107,12 @@ def _target_cell(colors: Sequence[int]) -> list[int] | None:
     return best
 
 
-def _certificate(adj: Sequence[set[int]], colors: Sequence[int], init_colors: Sequence[int]) -> bytes:
-    n = len(adj)
-    position = colors  # discrete coloring = bijection vertex -> position
-    vertex_at = [0] * n
-    for v, p in enumerate(position):
-        vertex_at[p] = v
-    head = ",".join(str(init_colors[vertex_at[i]]) for i in range(n)).encode() + b";"
-    bits = bytearray()
-    acc = 0
-    filled = 0
-    for i in range(n):
-        row = adj[vertex_at[i]]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | (1 if vertex_at[j] in row else 0)
-            filled += 1
-            if filled == 8:
-                bits.append(acc)
-                acc = 0
-                filled = 0
-    if filled:
-        bits.append(acc << (8 - filled))
-    return head + bytes(bits)
+def _certificate(adj: np.ndarray, upper: tuple[np.ndarray, np.ndarray],
+                 vertex_at: np.ndarray, init_colors: Sequence[int]) -> bytes:
+    """Colors in position order, then the upper triangle of the relabeled
+    adjacency matrix packed row-major into bits (MSB first, zero-padded)."""
+    head = ",".join(str(init_colors[v]) for v in vertex_at.tolist()).encode() + b";"
+    return head + np.packbits(adj[np.ix_(vertex_at, vertex_at)][upper]).tobytes()
 
 
 def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | None = None) -> CanonicalLabeling:
@@ -135,6 +123,10 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     """
     n = len(adj)
     adjsets = [set(nbrs) for nbrs in adj]
+    matrix = np.zeros((n, n), dtype=bool)
+    for v, nbrs in enumerate(adj):
+        matrix[v, list(nbrs)] = True
+    upper = np.triu_indices(n, 1)
     init_colors = list(colors) if colors is not None else [0] * n
     autos: list[Perm] = []
     first: dict = {}
@@ -148,7 +140,8 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     def dfs(cur: list[int], prefix: list[int]) -> None:
         cell = _target_cell(cur)
         if cell is None:
-            cert = _certificate(adjsets, cur, init_colors)
+            vertex_at = np.argsort(cur)  # discrete partition: position -> vertex
+            cert = _certificate(matrix, upper, vertex_at, init_colors)
             if not first:
                 first["cert"] = best["cert"] = cert
                 first["lab"] = best["lab"] = cur
@@ -156,12 +149,9 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
                 return
             for ref in (first, best):
                 if cert == ref["cert"]:
-                    vertex_at = [0] * n
-                    for v, p in enumerate(cur):
-                        vertex_at[p] = v
                     # never the identity: the path to a leaf is readable from
                     # its discrete partition, so distinct leaves differ
-                    autos.append(tuple(vertex_at[ref["lab"][v]] for v in range(n)))
+                    autos.append(tuple(vertex_at[ref["lab"]].tolist()))
                     break
             if cert > best["cert"]:
                 best["cert"] = cert

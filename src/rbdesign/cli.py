@@ -9,7 +9,10 @@ yields identical bytes out.  Exit codes: 0 success/true, 1 false,
 Limits: --precision <= MAX_PRECISION (else exit 2); a design file, and
 search --v, has at most MAX_VARIETIES varieties (else exit 4): exact algebra
 takes O(v^5 log rk) float operations, about 0.07 s per characteristic
-polynomial at v = 64; search --r is at most MAX_REPLICATES (else exit 4).
+polynomial at v = 64; search --r is at most MAX_REPLICATES (else exit 4);
+a search schedule proposes at most MAX_PROPOSALS swaps, restarts x stages x
+moves (else exit 2).  search --budget is read before every proposal, and no
+restart starts once it has run out.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ EXIT_SHAPE = 4
 MAX_PRECISION = 1000
 MAX_VARIETIES = 64  # every catalog design and its dual (v <= 48) fits
 MAX_REPLICATES = 64  # the paper's designs have r <= 8
+MAX_PROPOSALS = 10**7  # restarts x stages x moves; the default schedule makes 162,560
 
 
 def _duration(text: str) -> float:
@@ -170,6 +174,10 @@ def _cmd_search(args, out) -> int:
         moves_per_temperature=args.moves, min_temperature=args.tmin,
         restarts=args.restarts, seed=args.seed, time_budget=args.budget,
     )
+    proposals = config.proposals()
+    if proposals > MAX_PROPOSALS:
+        raise ValueError(f"the schedule proposes {proposals} swaps, over the limit "
+                         f"of {MAX_PROPOSALS}: lower --restarts or --moves, or raise --tmin")
     result = anneal(config)
     pairs = [
         ("seed", str(args.seed)),

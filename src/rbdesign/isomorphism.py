@@ -127,27 +127,20 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     off = lam[~np.eye(36, dtype=bool)]
     if not set(np.unique(off).tolist()) <= {1, 2}:
         return None
-    conc2 = [[j for j in range(36) if i != j and lam[i, j] == 2] for i in range(36)]
-    if any(len(row) != 5 for row in conc2):
+    twos = lam == 2  # the diagonal is r = 8
+    if np.any(twos.sum(axis=1) != 5):
         return None
-    sigma = sylvester_graph()
-    sigma_adj = [[y - 1 for y in sigma.neighbors(x)] for x in range(1, 37)]
-    c_design = _graph_canonical(conc2)
-    c_sigma = _graph_canonical(sigma_adj)
+    sigma = sylvester_graph().adjacency_matrix() == 1
+    c_design = _graph_canonical([np.flatnonzero(row).tolist() for row in twos])
+    c_sigma = _graph_canonical([np.flatnonzero(row).tolist() for row in sigma])
     if c_design.certificate != c_sigma.certificate:
         return None
     # canonical slots line up: design vertex -> slot -> sigma vertex
-    slot_to_sigma = [0] * 36
-    for vertex, slot in enumerate(c_sigma.labeling):
-        slot_to_sigma[slot] = vertex
-    perm = tuple(slot_to_sigma[c_design.labeling[i]] + 1 for i in range(36))
-    sigma_edges = sigma.edges
-    for i in range(36):
-        for j in conc2[i]:
-            u, w = perm[i], perm[j]
-            if (min(u, w), max(u, w)) not in sigma_edges:
-                raise InternalError("Sylvester witness failed verification")
-    return SylvesterWitness(permutation=perm)
+    slot_to_sigma = np.argsort(c_sigma.labeling)
+    perm = slot_to_sigma[list(c_design.labeling)]
+    if not np.array_equal(sigma[np.ix_(perm, perm)], twos):
+        raise InternalError("Sylvester witness failed verification")
+    return SylvesterWitness(permutation=tuple((perm + 1).tolist()))
 
 
 def concurrence_equivalent(d1, d2) -> bool:

@@ -78,6 +78,13 @@ class SearchConfig:
             what = "r=1 (a single replicate)" if self.r == 1 else "k=1 (singleton blocks)"
             raise DisconnectedDesignError(f"every design with {what} is disconnected")
 
+    def proposals(self) -> int:
+        """restarts x stages x moves: the swaps the whole schedule proposes,
+        stages being the temperatures t0 * cooling^i above min_temperature."""
+        ratio = math.log(self.min_temperature) - math.log(self.initial_temperature)
+        stages = math.ceil(ratio / math.log(self.cooling_rate))
+        return self.restarts * stages * self.moves_per_temperature
+
 
 def random_resolvable(v: int, k: int, r: int, rng: np.random.Generator) -> ResolvableDesign:
     """Uniformly random partition of {1..v} into blocks of k, per replicate."""
@@ -273,6 +280,10 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def _polish(state: SearchState, deadline: float | None) -> int:
     """First-improvement sweeps until no single swap improves (local optimum).
 
@@ -288,7 +299,7 @@ def _polish(state: SearchState, deadline: float | None) -> int:
         for ri in range(state.r):
             start = 0
             while start < n_moves:
-                if deadline is not None and time.monotonic() > deadline:
+                if _expired(deadline):
                     return evals
                 # looser than score's test: their float noise hides no improvement
                 hits = np.flatnonzero(state._deltas(ri, start) < -_TIE / 2)
@@ -318,10 +329,10 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
     trace = []
     temperature = config.initial_temperature
     stage = 0
-    while temperature > config.min_temperature:
-        if deadline is not None and time.monotonic() > deadline:
-            break
+    while temperature > config.min_temperature and not _expired(deadline):
         for _ in range(config.moves_per_temperature):
+            if _expired(deadline):
+                break
             mv = state.propose(rng)
             evals += 1
             accept = mv.delta <= _TIE or (
@@ -356,11 +367,17 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     Deterministic for a fixed config as long as the time budget does not
     bind; when it does, the best design found so far is returned with
-    budget_exhausted set.
+    budget_exhausted set.  The budget is read before every proposal and
+    every polish scan, and no restart starts after it has run out (the
+    first always runs).
     """
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget is not None else None
-    outcomes = [_run_restart(config, i, deadline) for i in range(config.restarts)]
+    outcomes: list[RestartOutcome] = []
+    for i in range(config.restarts):
+        if outcomes and _expired(deadline):
+            break
+        outcomes.append(_run_restart(config, i, deadline))
 
     def rank(outcome: RestartOutcome):
         # maximize exact A; tie-break lowest restart index, then text
@@ -376,6 +393,6 @@ def anneal(config: SearchConfig) -> SearchResult:
         restart_index=winner.index,
         evaluations=sum(o.evaluations for o in outcomes),
         elapsed_seconds=elapsed,
-        budget_exhausted=deadline is not None and time.monotonic() > deadline,
+        budget_exhausted=_expired(deadline),
         restarts=tuple(outcomes),
     )

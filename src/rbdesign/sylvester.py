@@ -202,13 +202,24 @@ class SylvesterReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _first_pair(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The first 1-based pair i < j, row-major, where mask holds (or [])."""
+    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(np.triu(mask, 1))[:1]]
+
+
 def verify_sylvester(graph: Graph36) -> SylvesterReport:
-    """Run every structural check; failures name the property and a witness."""
+    """Run every structural check; failures name the property and a witness.
+
+    The checks are identities of the adjacency matrix A, of A^2 and of the
+    same-row and same-column relations R and C."""
     checks: list[StructureCheck] = []
     adj = graph.adjacency_matrix()
-    deg = adj.sum(axis=1)
+    row, col = np.divmod(np.arange(36), 6)
+    in_row, in_col = row[:, None] == row, col[:, None] == col  # I + R, I + C
+    identity = np.eye(36, dtype=np.int64)
+    off = ~in_row & ~in_col  # J - I - R - C: the off-row, off-column cells
 
-    bad = [i + 1 for i in range(36) if deg[i] != 5]
+    bad = (np.flatnonzero(adj.sum(axis=1) != 5) + 1).tolist()
     checks.append(StructureCheck(
         "5-regular", not bad, f"vertices with degree != 5: {bad}" if bad else ""))
 
@@ -217,70 +228,40 @@ def verify_sylvester(graph: Graph36) -> SylvesterReport:
         "90 edges", n_edges == 90, f"found {n_edges}" if n_edges != 90 else ""))
 
     a2 = adj @ adj
-    tri = [(i + 1, j + 1) for i in range(36) for j in range(i + 1, 36)
-           if adj[i, j] and a2[i, j]]
-    quad = [(i + 1, j + 1) for i in range(36) for j in range(i + 1, 36)
-            if a2[i, j] >= 2]
+    tri = _first_pair((adj > 0) & (a2 > 0))
+    quad = _first_pair(a2 >= 2)
     checks.append(StructureCheck(
-        "no triangles", not tri, f"adjacent pair with common neighbour: {tri[:1]}" if tri else ""))
+        "no triangles", not tri, f"adjacent pair with common neighbour: {tri}" if tri else ""))
     checks.append(StructureCheck(
-        "no quadrilaterals", not quad, f"pair with two common neighbours: {quad[:1]}" if quad else ""))
+        "no quadrilaterals", not quad, f"pair with two common neighbours: {quad}" if quad else ""))
 
-    bad_rc = []
-    for x in range(1, 37):
-        nb = graph.neighbors(x)
-        rows = {cell_of_variety(y)[0] for y in nb}
-        cols = {cell_of_variety(y)[1] for y in nb}
-        r0, c0 = cell_of_variety(x)
-        if len(rows) != 5 or r0 in rows or len(cols) != 5 or c0 in cols:
-            bad_rc.append(x)
+    # x has a neighbour in the row (column) of y exactly when y is off x's row (column)
+    miss = ((adj @ in_row > 0) == in_row) | ((adj @ in_col > 0) == in_col)
+    bad_rc = (np.flatnonzero(miss.any(axis=1)) + 1).tolist()
     checks.append(StructureCheck(
         "neighbours hit 5 distinct other rows and columns", not bad_rc,
         f"violating vertices: {bad_rc}" if bad_rc else ""))
 
-    bad_d2 = []
-    for x in range(1, 37):
-        r0, c0 = cell_of_variety(x)
-        reach = {x} | set(graph.neighbors(x))
-        for y in graph.neighbors(x):
-            reach.update(graph.neighbors(y))
-        expect = {x} | {
-            y for y in range(1, 37)
-            if cell_of_variety(y)[0] != r0 and cell_of_variety(y)[1] != c0
-        }
-        if reach != expect:
-            bad_d2.append(x)
+    ball = (identity + adj + a2) > 0
+    bad_d2 = (np.flatnonzero((ball != (off | (identity > 0))).any(axis=1)) + 1).tolist()
     checks.append(StructureCheck(
         "distance <= 2 covers exactly the off-row, off-column cells", not bad_d2,
         f"violating vertices: {bad_d2}" if bad_d2 else ""))
 
-    checks.append(_association_scheme_check(adj))
+    checks.append(_association_scheme_check(
+        [identity, in_row - identity, in_col - identity, adj, off - adj]))
     return SylvesterReport(checks=tuple(checks))
 
 
-def _association_scheme_check(adj: np.ndarray) -> StructureCheck:
+def _association_scheme_check(relations: list[np.ndarray]) -> StructureCheck:
     """Same row / same column / adjacent / other must close under products.
 
-    Exact integer test: every product of two relation matrices must be a
-    non-negative integer combination of the five relation matrices, i.e.
-    constant on each relation class.
+    Exact integer test on the relation matrices I, R, C, A and the
+    off-row, off-column cells outside A: every product of two must be a
+    non-negative integer combination of the five, i.e. constant on each
+    relation class.
     """
-    same_row = np.zeros((36, 36), dtype=np.int64)
-    same_col = np.zeros((36, 36), dtype=np.int64)
-    for x in range(1, 37):
-        for y in range(1, 37):
-            if x == y:
-                continue
-            rx, cx = cell_of_variety(x)
-            ry, cy = cell_of_variety(y)
-            if rx == ry:
-                same_row[x - 1, y - 1] = 1
-            if cx == cy:
-                same_col[x - 1, y - 1] = 1
-    identity = np.eye(36, dtype=np.int64)
-    other = np.ones((36, 36), dtype=np.int64) - identity - same_row - same_col - adj
-    relations = [identity, same_row, same_col, adj, other]
-    if np.any(other < 0):
+    if np.any(relations[-1] < 0):
         return StructureCheck("association scheme", False, "relation classes overlap")
     for i, ri in enumerate(relations):
         for j, rj in enumerate(relations):

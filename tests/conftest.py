@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from rbdesign import catalog, catalog_entry, delta_design, dual, gamma_design
+
+# every run draws the same examples; tests keep their own max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

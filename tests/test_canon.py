@@ -4,8 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbdesign import catalog, catalog_entry, dual, isomorphism
 from rbdesign.canon import canonical_labeling, refine
+from rbdesign.isomorphism import _incidence_graph
 
 
 def brute_force_aut_order(adj, colors):
@@ -18,6 +22,33 @@ def brute_force_aut_order(adj, colors):
         if all(perm[u] in sets[perm[v]] for v in range(n) for u in sets[v]):
             count += 1
     return count
+
+
+def _oracle_certificate(adj, labeling, colors):
+    """The certificate by the bit loop: colors in position order, then the
+    upper triangle of the relabeled adjacency, row-major, MSB first, the
+    last byte zero-padded."""
+    n = len(adj)
+    rows = [set(a) for a in adj]
+    vertex_at = [0] * n
+    for v, p in enumerate(labeling):
+        vertex_at[p] = v
+    head = ",".join(str(colors[vertex_at[i]]) for i in range(n)).encode() + b";"
+    bits = bytearray()
+    acc = 0
+    filled = 0
+    for i in range(n):
+        row = rows[vertex_at[i]]
+        for j in range(i + 1, n):
+            acc = (acc << 1) | (1 if vertex_at[j] in row else 0)
+            filled += 1
+            if filled == 8:
+                bits.append(acc)
+                acc = 0
+                filled = 0
+    if filled:
+        bits.append(acc << (8 - filled))
+    return head + bytes(bits)
 
 
 def cycle(n):
@@ -69,7 +100,9 @@ def petersen():
     ],
 )
 def test_known_automorphism_orders(adj, order):
-    assert canonical_labeling(adj).group.order() == order
+    result = canonical_labeling(adj)
+    assert result.group.order() == order
+    assert result.certificate == _oracle_certificate(adj, result.labeling, [0] * len(adj))
 
 
 def test_colors_restrict_automorphisms():
@@ -130,3 +163,48 @@ def test_refinement_is_equitable():
     # vertex-transitive graph: refinement cannot split anything
     assert len(set(colors)) == 1
 
+
+
+def _assert_oracle_certificate(adj, colors):
+    result = canonical_labeling(adj, colors)
+    assert result.certificate == _oracle_certificate(adj, result.labeling, colors)
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(0, 40))
+    # edgeless and complete graphs on 40 vertices take seconds each (their
+    # symmetric groups); test_known_automorphism_orders covers such graphs
+    p = draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adj = _random_graph(n, p, rng)
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return adj, colors
+
+
+@settings(max_examples=100)
+@given(colored_graphs())
+def test_certificate_matches_bit_loop_on_random_graphs(graph):
+    _assert_oracle_certificate(*graph)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_certificate_matches_bit_loop_on_catalog_incidence_graphs(name):
+    design = catalog_entry(name).design
+    for d in (design, dual(design)):
+        adj, colors, _ = _incidence_graph(d)
+        _assert_oracle_certificate(adj, colors)
+
+
+def test_certificate_matches_bit_loop_on_bond_graphs(monkeypatch, theta8, gamma_rc_8):
+    graphs = []
+
+    def spy(adj, colors):
+        graphs.append((adj, colors))
+        return canonical_labeling(adj, colors)
+
+    monkeypatch.setattr(isomorphism, "canonical_labeling", spy)
+    assert isomorphism.concurrence_equivalent(theta8, gamma_rc_8)
+    assert [len(adj) for adj, _ in graphs] == [666, 666]  # 36 varieties + 630 pairs
+    for adj, colors in graphs:
+        _assert_oracle_certificate(adj, colors)

@@ -61,6 +61,13 @@ SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
     (("search", "--v", "6", "--k", "1", "--r", "3"), 3),
     (("search", "--r", "2", "--v", "600000", "--k", "6"), 4),
     (("search", "--r", "50000000"), 4),
+    # schedules over cli.MAX_PROPOSALS proposals, with and without a budget
+    (("search", "--r", "2", "--restarts", "1", "--moves", "100000000", "--budget", "1"), 2),
+    (("search", "--r", "2", "--restarts", "100000000", "--budget", "1", "--moves", "1",
+      "--t0", "0.1", "--tmin", "0.09"), 2),
+    (("search", "--r", "2", "--restarts", "1000000000"), 2),
+    (("search", "--r", "2", "--moves", "1000000000"), 2),
+    (("search", "--r", "2", "--tmin", "1e-300", "--cooling", "0.999999"), 2),
 ])
 def test_error_paths_exit_without_traceback(tmp_path, argv, code):
     latin1 = tmp_path / "latin1.txt"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,33 @@ def test_anneal_budget_flag():
     result = anneal(SearchConfig(r=4, restarts=4, seed=0, time_budget=0.5))
     assert result.budget_exhausted
     assert result.a_exact > 0
+
+
+def test_budget_bounds_moves_and_restarts():
+    # 10^12 proposals per restart and 10^6 restarts: the budget alone ends the run
+    start = time.monotonic()
+    result = anneal(SearchConfig(r=2, restarts=10**6, moves_per_temperature=10**6,
+                                 time_budget=0.5))
+    assert time.monotonic() - start < 5
+    assert result.budget_exhausted
+    assert len(result.restarts) == 1
+
+
+@pytest.mark.parametrize("config", [
+    SearchConfig(),
+    SearchConfig(restarts=3, moves_per_temperature=7, initial_temperature=0.1,
+                 min_temperature=0.09),
+    SearchConfig(initial_temperature=1.0, cooling_rate=0.5, min_temperature=0.25),
+    SearchConfig(cooling_rate=0.999, min_temperature=1e-9),
+])
+def test_proposals_count_the_schedule(config):
+    stages, temperature = 0, config.initial_temperature
+    while temperature > config.min_temperature:  # the loop of _run_restart
+        stages += 1
+        temperature *= config.cooling_rate
+    assert config.proposals() == config.restarts * stages * config.moves_per_temperature
+    if config == SearchConfig():
+        assert config.proposals() == 162_560
 
 
 def test_polish_reaches_local_optimum():
