@@ -23,15 +23,18 @@ Together they put into the found orbit of vi every vertex that the
 stabilizer of v1..v(i-1) maps vi to; the stabilizer of the whole path fixes
 a discrete partition and is trivial.
 
-Scale target is <= 90 vertices (designs on 36 varieties plus their blocks),
-where plain dict-based refinement is fast enough.  Certificates read the
-graph's boolean adjacency matrix: the packed upper triangle of its
-relabeling, as nauty packs adjacency rows.
+Scale target is <= 90 vertices (designs on 36 varieties plus their blocks).
+Refinement takes most of the labeling time, so it numbers cells by position
+in the ordered partition, as nauty does, and a round recomputes only the
+cells next to a vertex whose cell id just changed (see `refine`).
+Certificates read the graph's boolean adjacency matrix: the packed upper
+triangle of its relabeling, as nauty packs adjacency rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -79,20 +82,64 @@ class CanonicalLabeling:
     group: _Group
 
 
-def refine(adj: Sequence[set[int]], colors: Sequence[int]) -> list[int]:
-    """Equitable refinement; new color ids follow sorted signature order so
-    the partition is isomorphism-invariant."""
-    colors = list(colors)
-    while True:
-        sigs = []
-        for v, nbrs in enumerate(adj):
-            counts = sorted(colors[u] for u in nbrs)
-            sigs.append((colors[v], tuple(counts)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+def refine(adj: Sequence[set[int]], colors: Sequence[int],
+           changed: Sequence[int] | None = None) -> list[int]:
+    """Equitable refinement, round by round.  A vertex's signature is its
+    color and the sorted colors of its neighbors; each round splits every
+    cell into its signature classes in sorted signature order, so the
+    partition is isomorphism-invariant.
+
+    A cell's id is the position of its first vertex in the ordered
+    partition, as in nauty.  A split then renumbers only the vertices of the
+    split cell, by a map that is strictly increasing in the dense ranks, so
+    signatures sort as they would under dense ranks.  A round recomputes
+    signatures only in the cells holding a neighbor of a vertex whose id the
+    previous round changed: in any other cell every signature is the one
+    the vertex had a round earlier, which was uniform across the cell.
+
+    By default `colors` may be any sortable values, and the first round
+    recomputes every cell.  Otherwise `colors` are positional ids, and
+    `changed` names the vertices whose ids differ from an equitable
+    partition that `colors` refines; `_individualize` passes the rest of
+    the individualized cell.
+    """
+    if changed is None:
+        # each vertex's id is the number of vertices of smaller color
+        first: dict = {}
+        for i, v in enumerate(sorted(range(len(colors)), key=colors.__getitem__)):
+            first.setdefault(colors[v], i)
+        ids = [first[c] for c in colors]
+        changed = range(len(ids))
+    else:
+        ids = list(colors)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(ids):
+        cells.setdefault(c, []).append(v)
+    get = ids.__getitem__
+    while changed:
+        touched = set(map(get, chain.from_iterable(map(adj.__getitem__, changed))))
+        splits = []
+        for c in touched:
+            cell = cells[c]
+            if len(cell) == 1:
+                continue
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                classes.setdefault(tuple(sorted(map(get, adj[v]))), []).append(v)
+            if len(classes) > 1:
+                splits.append((c, classes))
+        changed = []
+        for c, classes in splits:
+            pos = c
+            for sig in sorted(classes):
+                part = classes[sig]
+                cells[pos] = part
+                if pos != c:
+                    for v in part:
+                        ids[v] = pos
+                    changed.extend(part)
+                pos += len(part)
+    return ids
 
 
 def _target_cell(colors: Sequence[int]) -> list[int] | None:
@@ -105,6 +152,18 @@ def _target_cell(colors: Sequence[int]) -> list[int] | None:
         if len(vs) > 1 and (best is None or len(vs) < len(best)):
             best = vs
     return best
+
+
+def _individualize(adj: Sequence[set[int]], colors: Sequence[int], cell: Sequence[int],
+                  v: int) -> list[int]:
+    """Refine `colors` (equitable, with positional ids) after splitting `v`
+    off the front of its cell: v keeps the cell's id, the rest of the cell
+    take id + 1."""
+    rest = [u for u in cell if u != v]
+    ids = list(colors)
+    for u in rest:
+        ids[u] += 1
+    return refine(adj, ids, rest)
 
 
 def _certificate(adj: np.ndarray, upper: tuple[np.ndarray, np.ndarray],
@@ -132,11 +191,6 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     first: dict = {}
     best: dict = {}
 
-    def individualize(cur: list[int], v: int) -> list[int]:
-        keyed = [(c, 0 if u == v else 1) for u, c in enumerate(cur)]
-        ranks = {s: i for i, s in enumerate(sorted(set(keyed)))}
-        return refine(adjsets, [ranks[s] for s in keyed])
-
     def dfs(cur: list[int], prefix: list[int]) -> None:
         cell = _target_cell(cur)
         if cell is None:
@@ -161,7 +215,7 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
         for v in cell:
             if explored and v in _orbit(explored, autos, fixing=prefix):
                 continue
-            dfs(individualize(cur, v), prefix + [v])
+            dfs(_individualize(adjsets, cur, cell, v), prefix + [v])
             explored.append(v)
 
     dfs(refine(adjsets, init_colors), [])

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbdesign import catalog, catalog_entry, dual, isomorphism
-from rbdesign.canon import canonical_labeling, refine
+from rbdesign import canon, catalog, catalog_entry, dual, isomorphism
+from rbdesign.canon import _individualize, _target_cell, canonical_labeling, refine
 from rbdesign.isomorphism import _incidence_graph
 
 
@@ -157,14 +158,6 @@ def test_certificates_decide_isomorphism_of_random_relabelings(seed):
         assert canonical_labeling(adj).certificate != cert
 
 
-def test_refinement_is_equitable():
-    adj = [set(a) for a in petersen()]
-    colors = refine(adj, [0] * 10)
-    # vertex-transitive graph: refinement cannot split anything
-    assert len(set(colors)) == 1
-
-
-
 def _assert_oracle_certificate(adj, colors):
     result = canonical_labeling(adj, colors)
     assert result.certificate == _oracle_certificate(adj, result.labeling, colors)
@@ -208,3 +201,163 @@ def test_certificate_matches_bit_loop_on_bond_graphs(monkeypatch, theta8, gamma_
     assert [len(adj) for adj, _ in graphs] == [666, 666]  # 36 varieties + 630 pairs
     for adj, colors in graphs:
         _assert_oracle_certificate(adj, colors)
+
+
+def _oracle_refine(adj, colors):
+    """Equitable refinement with dense color ranks, re-signing every vertex
+    in every round (the refinement before positional cell ids)."""
+    colors = list(colors)
+    while True:
+        sigs = []
+        for v, nbrs in enumerate(adj):
+            counts = sorted(colors[u] for u in nbrs)
+            sigs.append((colors[v], tuple(counts)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _oracle_individualize(adj, colors, v):
+    keyed = [(c, 0 if u == v else 1) for u, c in enumerate(colors)]
+    ranks = {s: i for i, s in enumerate(sorted(set(keyed)))}
+    return _oracle_refine(adj, [ranks[s] for s in keyed])
+
+
+def _dense(ids):
+    ranks = {c: i for i, c in enumerate(sorted(set(ids)))}
+    return [ranks[c] for c in ids]
+
+
+def _assert_positional(ids):
+    """Every cell's id is the number of vertices in the cells before it."""
+    sizes = Counter(ids)
+    start = 0
+    for c in sorted(sizes):
+        assert c == start
+        start += sizes[c]
+
+
+def _assert_matches_oracle(adj, colors):
+    ids = refine(adj, colors)
+    _assert_positional(ids)
+    assert _dense(ids) == _oracle_refine(adj, colors)
+    return ids
+
+
+def _assert_individualizations_match_oracle(adj, ids, cell):
+    for v in cell:
+        child = _individualize(adj, ids, cell, v)
+        _assert_positional(child)
+        assert _dense(child) == _oracle_individualize(adj, _dense(ids), v)
+
+
+@settings(max_examples=150)
+@given(colored_graphs(), st.sampled_from([1, 5, -3]))
+def test_refine_matches_dense_oracle(graph, scale):
+    adj, colors = graph
+    adj = [set(a) for a in adj]
+    # scale 5 and -3 give non-dense and reordered initial colors
+    ids = _assert_matches_oracle(adj, [scale * c for c in colors])
+    cell = _target_cell(ids)
+    if cell is not None:
+        _assert_individualizations_match_oracle(adj, ids, cell)
+
+
+@pytest.mark.parametrize("name", ["delta-r-3", "gamma-rc-5", "theta-8", "delta-rc-8"])
+def test_refine_matches_dense_oracle_on_catalog_individualizations(name):
+    design = catalog_entry(name).design
+    for d in (design, dual(design)):
+        adj, colors, _ = _incidence_graph(d)
+        adj = [set(a) for a in adj]
+        root = _assert_matches_oracle(adj, colors)
+        cells = {}
+        for v, c in enumerate(root):
+            cells.setdefault(c, []).append(v)
+        for cell in cells.values():
+            if len(cell) > 1:
+                _assert_individualizations_match_oracle(adj, root, cell)
+        # one level down, below the first vertex of the target cell
+        cell = _target_cell(root)
+        child = _individualize(adj, root, cell, cell[0])
+        cell = _target_cell(child)
+        if cell is not None:
+            _assert_individualizations_match_oracle(adj, child, cell)
+
+
+def _relabel(design, seed):
+    rng = random.Random(seed)
+    perm = list(range(1, design.v + 1))
+    rng.shuffle(perm)
+    return design.relabel(perm)
+
+
+def test_refine_matches_dense_oracle_on_every_search_call(monkeypatch):
+    adj, colors, _ = _incidence_graph(_relabel(catalog_entry("gamma-c-2").design, 2))
+    real = refine
+    calls = []
+
+    def checked(adj, colors, changed=None):
+        ids = real(adj, colors, changed)
+        _assert_positional(ids)
+        assert _dense(ids) == _oracle_refine(adj, colors)
+        calls.append(changed)
+        return ids
+
+    monkeypatch.setattr(canon, "refine", checked)
+    canonical_labeling(adj, colors)
+    assert len(calls) == 460
+    assert calls[0] is None and all(changed for changed in calls[1:])
+
+
+@pytest.mark.parametrize("name,shuffle,nodes", [
+    ("delta-r-3", None, 1879), ("delta-r-4", None, 2986), ("delta-r-5", None, 4193),
+    ("delta-rc-8", None, 14), ("gamma-c-2", 2, 460),
+])
+def test_search_visits_pinned_node_counts(monkeypatch, name, shuffle, nodes):
+    """refine calls (the root and one per search node) per labeling, as
+    counted before positional cell ids: an unchanged search tree."""
+    design = catalog_entry(name).design
+    if shuffle is not None:
+        design = _relabel(design, shuffle)
+    calls = []
+    real = refine
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(canon, "refine", counted)
+    adj, colors, _ = _incidence_graph(design)
+    canonical_labeling(adj, colors)
+    assert len(calls) == nodes
+
+
+def _assert_equitable(adj, ids):
+    """Any two vertices of one cell have equally many neighbors in every cell."""
+    counts = {}
+    for v, nbrs in enumerate(adj):
+        counts.setdefault(ids[v], set()).add(frozenset(Counter(ids[u] for u in nbrs).items()))
+    assert all(len(c) == 1 for c in counts.values())
+
+
+@settings(max_examples=100)
+@given(colored_graphs())
+@example((petersen(), [0] * 10))
+def test_refinement_is_equitable(graph):
+    adj, colors = graph
+    adj = [set(a) for a in adj]
+    ids = refine(adj, colors)
+    _assert_equitable(adj, ids)
+    # the result refines the initial colors, and keeps their order
+    assert all(colors[u] < colors[v] for u in range(len(adj)) for v in range(len(adj))
+               if ids[u] < ids[v] and colors[u] != colors[v])
+    assert len(set(zip(ids, colors))) == len(set(ids))
+    cell = _target_cell(ids)
+    for v in cell or ():
+        _assert_equitable(adj, _individualize(adj, ids, cell, v))
+
+
+def test_refinement_keeps_a_vertex_transitive_graph_whole():
+    assert refine([set(a) for a in petersen()], [0] * 10) == [0] * 10
