@@ -219,6 +219,7 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
             explored.append(v)
 
     dfs(refine(adjsets, init_colors), [])
+    del dfs  # it closes over itself: a cycle that would keep every table alive until gc
     path = first["path"]
     order = 1
     for i, v in enumerate(path):

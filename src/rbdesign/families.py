@@ -137,14 +137,6 @@ def delta_design(r: int, variant: str = "plain") -> ResolvableDesign:
     return _family_design("delta", _square_units(), r, variant, max_units=6)
 
 
-def delta_subset_design(square_indices: tuple[int, ...]) -> ResolvableDesign:
-    """Plain delta-style design from an arbitrary subset of L1..L6 (0-based)."""
-    units = _square_units()
-    reps = tuple(units[i] for i in square_indices)
-    label = "delta-subset-" + "".join(str(i + 1) for i in square_indices)
-    return ResolvableDesign.from_replicates(reps, v=36, k=6, label=label)
-
-
 @dataclass(frozen=True)
 class SemiLatinSquare:
     """(6x6)/r semi-Latin square: r-sets over a 6r alphabet, each symbol

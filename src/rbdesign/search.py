@@ -11,9 +11,9 @@ start until it is connected, and a swap that disconnects scores +inf and is
 never taken.  A swap adds a rank-2 term to Lambda, so the state keeps P and
 P^2 and scores a swap by a 2x2 Woodbury solve on its two blocks' 2k x 2k
 submatrices; a singular 2x2 system means the swap disconnects.  Score keeps
-the solve so that accepting the swap updates P and P^2 by the same terms.
-Every objective comparison uses the tie tolerance _TIE, far above the float
-noise of the update.
+the solve, so accepting the swap updates P by its rank-2 term; P^2 is then
+rebuilt as P P by one product and never drifts from P.  Every objective
+comparison uses the tie tolerance _TIE, far above the float noise of P.
 
 A proposal draws its whole move (replicate, ordered block pair, two
 positions) with one rng call.  Polish takes the *first* improving swap in
@@ -28,6 +28,7 @@ with deterministic tie-breaks.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -95,7 +96,7 @@ def random_resolvable(v: int, k: int, r: int, rng: np.random.Generator) -> Resol
     return ResolvableDesign.from_replicates(reps, v=v, k=k, label="random")
 
 
-@dataclass
+@dataclass(slots=True)
 class Move:
     """A proposed within-replicate swap and its objective consequence."""
 
@@ -109,13 +110,15 @@ class Move:
 
 
 class SearchState:
-    """Mutable annealing state of a connected design: blocks, objective and
-    pp = (P, P^2) with P = C^+.  Raises DisconnectedDesignError for a
-    disconnected design."""
+    """Mutable annealing state of a connected design: blocks (1-based, and
+    0-based in _blocks0), objective and pp = (P, P^2) with P = C^+; accept
+    rebuilds P^2 from P.  Raises DisconnectedDesignError for a disconnected
+    design."""
 
     def __init__(self, design: ResolvableDesign):
         self.v, self.k, self.r = design.v, design.k, design.r
         self.blocks = [[list(b) for b in rep] for rep in design.replicates]
+        self._blocks0 = np.array(self.blocks) - 1  # 0-based, kept in step by _swap
         lam = concurrence_matrix(design)
         self.objective = _reciprocal_sum(lam, self.r, self.k)
         if not math.isfinite(self.objective):
@@ -123,60 +126,43 @@ class SearchState:
         w, vec = np.linalg.eigh(np.eye(self.v) - lam / (self.r * self.k))
         inv, vec = 1.0 / w[1:], vec[:, 1:]  # w[0] is the zero on the all-ones vector
         self.pp = np.einsum("na,ia,ja->nij", np.stack([inv, inv * inv]), vec, vec)
-        # U = [u, g] on blocks A and B in _pair order and its outer products
-        # flattened (score contracts them with P and P^2 by one product)
-        k = self.k
-        self._u = np.zeros((2 * k, 2))
-        self._u[[0, k], 0] = -1.0, 1.0  # u = e_b - e_a
-        self._u[:, 1] = np.repeat([1.0, -1.0], k)  # g = 1_A - 1_B
-        self._uu = np.einsum("ia,jb->ijab", self._u, self._u).reshape(-1, 4)
-        # every move of one replicate in polish order: (block a, pos a, block b, pos b)
-        n_blocks, kk = self.v // k, k * k
-        ba, bb = np.triu_indices(n_blocks, 1)
-        pa, pb = np.divmod(np.arange(kk), k)
-        self._moves = np.stack([ba.repeat(kk), np.tile(pa, ba.size),
-                                bb.repeat(kk), np.tile(pb, ba.size)])
-        self._scored = None  # (move, idx, K^-1, U^T P^2 U) of the last score
+        self._moves, self._at, self._u, self._uu = _layout(self.v // self.k, self.k)
+        self._scored = None  # (move, idx, K^-1) of the last score
 
     def design(self, label: str = "") -> ResolvableDesign:
         return ResolvableDesign.from_replicates(self.blocks, v=self.v, k=self.k, label=label)
 
-    def _pair(self, mv: Move) -> np.ndarray:
-        """0-based indices of blocks A and B, rotated to start at a and b."""
-        rep = self.blocks[mv.replicate]
-        blk_a, blk_b, i, j = rep[mv.block_a], rep[mv.block_b], mv.pos_a, mv.pos_b
-        return np.subtract(blk_a[i:] + blk_a[:i] + blk_b[j:] + blk_b[:j], 1)
-
     def _swap(self, mv: Move) -> None:
         """Swap the two varieties."""
-        rep = self.blocks[mv.replicate]
-        blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
-        blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
+        for blocks in self.blocks, self._blocks0:
+            rep = blocks[mv.replicate]
+            blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
+            blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
 
     def _rank2(self, mv: Move):
         """The swap as Lambda += U S U^T, S = [[2, 1], [1, 0]], U = [u, g],
         u = e_b - e_a and g = 1_A - 1_B (a in block A, b in block B), with
-        U^T P U and U^T P^2 U read from the 2k x 2k submatrices on A and B.
-        Returns their indices, K^-1 for K = -rk S^-1 + U^T P U, U^T P^2 U
-        and delta = -tr(K^-1 U^T P^2 U).  If K is singular the swap
-        disconnects (u and g are orthogonal to the all-ones vector): K^-1 is
-        None and delta is +inf."""
-        idx = self._pair(mv)
+        U^T P U and U^T P^2 U read from the 2k x 2k submatrices on A and B,
+        gathered at positions from _layout so that a and b come first.
+        Returns the varieties gathered, K^-1 for K = -rk S^-1 + U^T P U and
+        delta = -tr(K^-1 U^T P^2 U).  If K is singular the swap disconnects
+        (u and g are orthogonal to the all-ones vector): K^-1 is None and
+        delta is +inf."""
+        idx = self._blocks0[mv.replicate].take(self._at[mv.block_a, mv.pos_a, mv.block_b, mv.pos_b])
         sub = self.pp.take(idx, 1).take(idx, 2).reshape(2, -1)
-        ((p, q), (_, s)), g = (sub @ self._uu).reshape(2, 2, 2).tolist()
+        (p, q, _, s), (x, y, _, z) = (sub @ self._uu).tolist()
         q, s = q - self.r * self.k, s + 2 * self.r * self.k
         det = p * s - q * q
         if abs(det) <= _SINGULAR * (p * p + 2 * q * q + s * s):
-            return idx, None, g, math.inf
-        (x, y), (_, z) = g
-        return idx, [[s / det, -q / det], [-q / det, p / det]], g, (2 * q * y - s * x - p * z) / det
+            return idx, None, math.inf
+        return idx, [[s / det, -q / det], [-q / det, p / det]], (2 * q * y - s * x - p * z) / det
 
     def score(self, mv: Move) -> Move:
         """Fill mv.objective_after and mv.delta (+inf for a swap that
         disconnects), leaving the state unchanged.  The Woodbury terms are
         kept for accept."""
-        idx, kinv, g, mv.delta = self._rank2(mv)
-        self._scored = (mv, idx, kinv, g)
+        idx, kinv, mv.delta = self._rank2(mv)
+        self._scored = (mv, idx, kinv)
         mv.objective_after = self.objective + mv.delta
         return mv
 
@@ -187,26 +173,23 @@ class SearchState:
         return self.score(_decode(code, n_blocks, self.k))
 
     def accept(self, mv: Move) -> None:
-        """Apply a scored move by the Woodbury terms of its score (scoring
-        it again if another move was scored since).  With X = P U, Y = P^2 U
-        and W = [X, Y]: P -= X K^-1 X^T and
-        P^2 -= W [[-K^-1 G K^-1, K^-1], [K^-1, 0]] W^T, G = U^T P^2 U.
-        Raises DisconnectedDesignError, changing nothing, if the swap
-        disconnects."""
+        """Apply a scored move by the Woodbury term of its score (scoring it
+        again if another move was scored since): P -= X K^-1 X^T with X = P U
+        read from P's columns on the two blocks, then P^2 = P P by one
+        product.  Raises DisconnectedDesignError, changing nothing, if the
+        swap disconnects."""
         if self._scored is None or self._scored[0] is not mv:
             self.score(mv)
-        _, idx, kinv, g = self._scored
+        _, idx, kinv = self._scored
         if kinv is None:
             raise DisconnectedDesignError("the swap disconnects the design")
         self._scored = None
         self._swap(mv)
         self.objective = mv.objective_after
-        w = np.concatenate(self.pp.take(idx, 2) @ self._u, axis=1)
-        kinv = np.array(kinv)
-        m = np.zeros((2, 4, 4))
-        m[0, :2, :2] = m[1, :2, 2:] = m[1, 2:, :2] = kinv
-        m[1, :2, :2] = -kinv @ g @ kinv
-        self.pp -= w @ m @ w.T
+        p, pp = self.pp
+        x = p.take(idx, 1) @ self._u
+        p -= x @ kinv @ x.T
+        np.matmul(p, p, out=pp)
 
     def _deltas(self, ri: int, start: int = 0) -> np.ndarray:
         """Woodbury deltas of moves start, start+1, ... of replicate ri in
@@ -214,7 +197,7 @@ class SearchState:
         forms u^T M u, u^T M g and g^T M g are read from M, M N and N^T M N,
         N the replicate's v x n_blocks incidence matrix."""
         ba, pa, bb, pb = self._moves[:, start:]
-        blocks = np.array(self.blocks[ri]) - 1
+        blocks = self._blocks0[ri]
         n = np.zeros((self.v, len(blocks)))
         n[blocks, np.arange(len(blocks))[:, None]] = 1.0
         mn = self.pp @ n
@@ -230,6 +213,28 @@ class SearchState:
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = (2 * q * y - s * x - p * z) / det
         return np.where(singular, math.inf, delta)
+
+
+@functools.cache
+def _layout(n_blocks: int, k: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables shared by the states with these blocks: every move
+    of one replicate in polish order (rows block a, pos a, block b, pos b);
+    at[a, i, b, j], the positions in a replicate's flattened blocks of block
+    a from i on, wrapping, then of block b from j on; U = [u, g] in that
+    order; and U's outer products flattened, which score contracts."""
+    ba, bb = np.triu_indices(n_blocks, 1)
+    pa, pb = np.divmod(np.arange(k * k), k)
+    moves = np.stack([ba.repeat(k * k), np.tile(pa, ba.size), bb.repeat(k * k), np.tile(pb, ba.size)])
+    ba, pa, bb, pb = np.indices((n_blocks, k, n_blocks, k))[..., None]
+    t = np.arange(k)
+    at = np.concatenate([ba * k + (pa + t) % k, bb * k + (pb + t) % k], axis=-1)
+    u = np.zeros((2 * k, 2))
+    u[[0, k], 0] = -1.0, 1.0
+    u[:, 1] = np.repeat([1.0, -1.0], k)
+    uu = np.einsum("ia,jb->ijab", u, u).reshape(-1, 4)
+    for table in moves, at, u, uu:
+        table.flags.writeable = False
+    return moves, at, u, uu
 
 
 def _decode(code: int, n_blocks: int, k: int) -> Move:

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import settings
 
-from rbdesign import catalog, catalog_entry, delta_design, dual, gamma_design
+from rbdesign import (ResolvableDesign, catalog, catalog_entry, delta_design, dual, gamma_design,
+                      latin_squares)
+from rbdesign.families import square_replicate
 
 # every run draws the same examples; tests keep their own max_examples
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -26,6 +28,19 @@ def gamma_rc_8():
 @pytest.fixture(scope="session")
 def delta_rc_8():
     return delta_design(8, "RC")
+
+
+@pytest.fixture(scope="session")
+def delta_subset_design():
+    """Builds the plain delta-style design from any subset of L1..L6 (0-based)."""
+    units = [square_replicate(sq) for sq in latin_squares()]
+
+    def build(square_indices):
+        label = "delta-subset-" + "".join(str(i + 1) for i in square_indices)
+        return ResolvableDesign.from_replicates([units[i] for i in square_indices], v=36, k=6,
+                                                label=label)
+
+    return build
 
 
 @pytest.fixture(scope="session")

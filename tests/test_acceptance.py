@@ -29,7 +29,6 @@ from rbdesign import (
     square_lattice_bound,
     validate,
 )
-from rbdesign.families import delta_subset_design
 from rbdesign.search import SearchConfig, anneal
 from rbdesign.sylvester import enumerate_one_factorizations, sylvester_graph, verify_sylvester
 
@@ -251,7 +250,7 @@ def test_criterion_10_search_benchmark():
     assert ok
 
 
-def test_criterion_11_square_subset_optimality():
+def test_criterion_11_square_subset_optimality(delta_subset_design):
     failures = []
     for r in range(2, 7):
         leading = a_value(delta_design(r))

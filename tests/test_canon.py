@@ -1,5 +1,6 @@
 """Canonical labeling engine validated against brute force and known groups."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -361,3 +362,28 @@ def test_refinement_is_equitable(graph):
 
 def test_refinement_keeps_a_vertex_transitive_graph_whole():
     assert refine([set(a) for a in petersen()], [0] * 10) == [0] * 10
+
+
+def test_entry_points_leave_no_cyclic_garbage():
+    # without cycles every labeling's matrices die at return, not at the next gc pass
+    from rbdesign import SearchConfig, anneal, automorphism_order, efficiency_spectrum, robustness
+
+    def calls(seed):
+        return [lambda: automorphism_order(_relabel(catalog_entry("delta-r-4").design, seed)),
+                lambda: efficiency_spectrum(_relabel(catalog_entry("theta-4").design, seed)),
+                lambda: robustness(_relabel(catalog_entry("gamma-rc-5").design, seed)),
+                lambda: anneal(SearchConfig(r=3, restarts=1, seed=seed, moves_per_temperature=20,
+                                            initial_temperature=0.1, min_temperature=2e-2))]
+
+    for call in calls(0):  # first calls may free one-time objects
+        call()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls(1):
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -20,12 +20,7 @@ from rbdesign import (
     validate,
 )
 from rbdesign.core import BlockDesign
-from rbdesign.families import (
-    columns_replicate,
-    delta_subset_design,
-    rows_replicate,
-    square_replicate,
-)
+from rbdesign.families import columns_replicate, rows_replicate, square_replicate
 from rbdesign import refdata
 
 
@@ -103,7 +98,7 @@ def test_square_replicate_round_trip():
         assert square_replicate(sq) == refdata.DELTA_RC_8[2 + i]
 
 
-def test_delta_subset_design():
+def test_delta_subset_design(delta_subset_design):
     d = delta_subset_design((0, 3, 4))
     assert validate(d) == []
     assert d.r == 3
