@@ -274,6 +274,8 @@ def test_anneal_matches_oracle_scorer(monkeypatch, config):
 
 
 def test_cli_search_matches_oracle_scorer(monkeypatch):
+    import io
+
     from rbdesign import cli
 
     argv = ["search", "--r", "4", "--restarts", "2", "--seed", "0", "--moves", "40",
