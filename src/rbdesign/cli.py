@@ -13,6 +13,13 @@ polynomial at v = 64; search --r is at most MAX_REPLICATES (else exit 4);
 a search schedule proposes at most MAX_PROPOSALS swaps, restarts x stages x
 moves (else exit 2).  search --budget is read before every proposal, and no
 restart starts once it has run out.
+
+Cold start: this module imports only the numpy-free layers (core, families,
+sylvester), and each handler imports the efficiency, isomorphism or search
+names it calls.  So generate, dual, catalog, export sylvester-edges, --help,
+--version and usage errors never load numpy; evaluate, search, robustness,
+isomorphic, autorder, sylvester-check, catalog --evaluate and export
+concurrence do.
 """
 
 from __future__ import annotations
@@ -35,22 +42,7 @@ from .core import (
     resolution,
     write_design,
 )
-from .efficiency import (
-    REPORTED_SEARCH_BOUND_R8,
-    a_value_float,
-    average_variance,
-    efficiency_spectrum,
-    robustness,
-    round_decimal,
-    square_lattice_bound,
-)
 from .families import catalog, catalog_entry, delta_design, gamma_design, is_semi_latin
-from .isomorphism import (
-    are_isomorphic,
-    automorphism_order,
-    is_sylvester_design,
-)
-from .search import SearchConfig, anneal
 from .sylvester import sylvester_graph
 
 EXIT_FALSE = 1
@@ -124,6 +116,8 @@ def _cmd_generate(args, out) -> int:
 
 
 def _spectrum_lines(design, spec, precision: int) -> list[tuple[str, str]]:
+    from .efficiency import a_value_float, round_decimal
+
     pairs: list[tuple[str, str]] = []
     pairs.append(("connected", "yes" if spec.connected else "no"))
     if not spec.connected:
@@ -144,6 +138,14 @@ def _spectrum_lines(design, spec, precision: int) -> list[tuple[str, str]]:
 
 
 def _cmd_evaluate(args, out) -> int:
+    from .efficiency import (
+        REPORTED_SEARCH_BOUND_R8,
+        average_variance,
+        efficiency_spectrum,
+        round_decimal,
+        square_lattice_bound,
+    )
+
     design = _load_design(args.design)
     pairs = [("design", design.label or args.design),
              ("v", str(design.v)), ("k", str(design.k)), ("r", str(design.r))]
@@ -163,25 +165,32 @@ def _cmd_evaluate(args, out) -> int:
     return 0
 
 
+#: search option -> SearchConfig field; an option left out keeps the field's default
+_SEARCH_FIELDS = {"v": "v", "k": "k", "r": "r", "t0": "initial_temperature",
+                  "cooling": "cooling_rate", "moves": "moves_per_temperature",
+                  "tmin": "min_temperature", "restarts": "restarts", "seed": "seed",
+                  "budget": "time_budget"}
+
+
 def _cmd_search(args, out) -> int:
-    if args.v > MAX_VARIETIES:
+    from .efficiency import round_decimal
+    from .search import SearchConfig, anneal
+
+    if args.v is not None and args.v > MAX_VARIETIES:
         raise ShapeMismatchError(f"v={args.v} exceeds the limit of {MAX_VARIETIES} varieties")
     if args.r > MAX_REPLICATES:
         raise ShapeMismatchError(f"r={args.r} exceeds the limit of {MAX_REPLICATES} replicates")
-    config = SearchConfig(
-        v=args.v, k=args.k, r=args.r,
-        initial_temperature=args.t0, cooling_rate=args.cooling,
-        moves_per_temperature=args.moves, min_temperature=args.tmin,
-        restarts=args.restarts, seed=args.seed, time_budget=args.budget,
-    )
+    config = SearchConfig(**{field: getattr(args, option)
+                             for option, field in _SEARCH_FIELDS.items()
+                             if getattr(args, option) is not None})
     proposals = config.proposals()
     if proposals > MAX_PROPOSALS:
         raise ValueError(f"the schedule proposes {proposals} swaps, over the limit "
                          f"of {MAX_PROPOSALS}: lower --restarts or --moves, or raise --tmin")
     result = anneal(config)
     pairs = [
-        ("seed", str(args.seed)),
-        ("restarts", str(args.restarts)),
+        ("seed", str(config.seed)),
+        ("restarts", str(config.restarts)),
         ("A-exact", f"{result.a_exact.numerator}/{result.a_exact.denominator}"),
         ("A-decimal", round_decimal(result.a_exact, args.precision)),
         ("A-float", f"{result.a_float:.12f}"),
@@ -204,6 +213,8 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_robustness(args, out) -> int:
+    from .efficiency import robustness, round_decimal
+
     design = _load_design(args.design)
     report = robustness(design)
     pairs = [("design", design.label or args.design), ("r", str(design.r))]
@@ -219,6 +230,8 @@ def _cmd_robustness(args, out) -> int:
 
 
 def _cmd_isomorphic(args, out) -> int:
+    from .isomorphism import are_isomorphic
+
     d1, d2 = _load_design(args.design_a), _load_design(args.design_b)
     shape1 = (d1.v, d1.k, d1.r)
     shape2 = (d2.v, d2.k, d2.r)
@@ -231,12 +244,16 @@ def _cmd_isomorphic(args, out) -> int:
 
 
 def _cmd_autorder(args, out) -> int:
+    from .isomorphism import automorphism_order
+
     design = _load_design(args.design)
     print(automorphism_order(design), file=out)
     return 0
 
 
 def _cmd_sylvester_check(args, out) -> int:
+    from .isomorphism import is_sylvester_design
+
     design = _load_design(args.design)
     witness = is_sylvester_design(design)
     if witness is None:
@@ -271,8 +288,8 @@ def _cmd_dual(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
-    from .efficiency import a_value
-
+    if args.evaluate:
+        from .efficiency import a_value, round_decimal
     for entry in catalog():
         d = entry.design
         line = f"{entry.name}  v={d.v} k={d.k} r={d.r}"
@@ -326,22 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_evaluate)
 
-    defaults = SearchConfig()
+    # the search options default to None: SearchConfig's defaults apply
     p = sub.add_parser("search", help="simulated-annealing design search")
-    p.add_argument("--v", type=int, default=defaults.v)
-    p.add_argument("--k", type=int, default=defaults.k)
+    p.add_argument("--v", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--budget", type=_duration, default=None,
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=_duration,
                    help="wall-clock budget in seconds (e.g. 60 or 60s); output is "
                         "reproducible only when the budget does not bind")
-    p.add_argument("--t0", type=float, default=defaults.initial_temperature,
-                   help="initial temperature")
-    p.add_argument("--cooling", type=float, default=defaults.cooling_rate)
-    p.add_argument("--moves", type=int, default=defaults.moves_per_temperature,
-                   help="moves per temperature")
-    p.add_argument("--tmin", type=float, default=defaults.min_temperature)
+    p.add_argument("--t0", type=float, help="initial temperature")
+    p.add_argument("--cooling", type=float)
+    p.add_argument("--moves", type=int, help="moves per temperature")
+    p.add_argument("--tmin", type=float)
     p.add_argument("--out", help="write the best design to a file")
     p.add_argument("--trace", help="write the objective trace as CSV")
     add_common(p)

@@ -18,9 +18,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Block = tuple[int, ...]
 
@@ -210,6 +211,8 @@ def valid_blocks(design: ResolvableDesign | BlockDesign) -> tuple[Block, ...]:
 def _incidence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """The v x b incidence matrix N of blocks on varieties 1..v, as float64;
     a variety repeated within a block counts once per occurrence."""
+    import numpy as np
+
     sizes = [len(b) for b in blocks]
     members = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, sum(sizes))
     owner = np.repeat(np.arange(len(blocks)), sizes)
@@ -220,6 +223,8 @@ def _incidence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
 def _concurrence(v: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """N N^T for the v x b incidence matrix N of blocks on varieties 1..v,
     as int64."""
+    import numpy as np
+
     n = _incidence(v, blocks)
     return (n @ n.T).astype(np.int64)  # counts far below 2^53: exact
 
@@ -230,6 +235,8 @@ def concurrence_matrix(design: ResolvableDesign | BlockDesign) -> np.ndarray:
     The diagonal holds the replication count.  Entries are 0-indexed by
     variety-1.  Raises InvalidDesignError for an invalid resolvable design.
     """
+    import numpy as np
+
     blocks = valid_blocks(design)
     diag = design.r if isinstance(design, ResolvableDesign) else design.replication()
     lam = _concurrence(design.v, blocks)

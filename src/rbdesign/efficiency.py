@@ -167,8 +167,13 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - C) of an integer matrix,
     as coefficients from x^n down to x^0.
 
-    |a_j| <= binom(n, j) * B^j < (1 + B)^n, with B the largest absolute row sum
-    (a bound on every eigenvalue), fixes how many primes _charpoly_mod needs.
+    A bound on the |a_j| fixes how many primes _charpoly_mod needs.  In
+    general |a_j| <= binom(n, j) * B^j < (1 + B)^n, with B the largest
+    absolute row sum (a bound on every eigenvalue).  A symmetric C whose
+    diagonal entries are at least their rows' absolute off-diagonal sums is
+    positive semidefinite (Gershgorin), as rk*I - Lambda and rk*I - N^T N
+    are; then a_j is +-e_j of the nonnegative eigenvalues, and Maclaurin's
+    inequality gives |a_j| <= binom(n, j) * (tr C / n)^j < (1 + tr C / n)^n.
     The coefficients are rebuilt from their residues by the Chinese remainder
     theorem with symmetric residues, then checked modulo one more prime;
     non-integer input or a failed check raises InternalError."""
@@ -183,7 +188,13 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     if width < 2:
         raise InternalError(f"entries up to {c_max} are too large for exact float products")
     C = C.astype(np.int64)
-    primes = _moduli(n, width, (1 + int(np.abs(C).sum(axis=1).max())) ** n)
+    diag, row_sums = np.diag(C), np.abs(C).sum(axis=1)
+    if (C == C.T).all() and (2 * diag >= row_sums).all():
+        trace = int(diag.sum())
+        bound = -(-(n + trace) ** n // n ** n)  # ceil((1 + tr C / n)^n)
+    else:
+        bound = (1 + int(row_sums.max())) ** n
+    primes = _moduli(n, width, bound)
     residues = _charpoly_mod(C.astype(np.float64), primes)
     *used, check = primes
     prod = math.prod(used)

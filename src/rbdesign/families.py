@@ -30,7 +30,6 @@ from .core import (
     ShapeMismatchError,
     dual,
 )
-from .efficiency import a_value
 from .sylvester import galaxy, sylvester_graph
 
 VARIANTS = ("plain", "R", "C", "RC")
@@ -174,6 +173,8 @@ def roy_check(design: ResolvableDesign) -> Fraction:
     reads 35/A = 6(6-r) + (6r-1)/A'; the return value is lhs - rhs computed
     exactly and should be 0.
     """
+    from .efficiency import a_value
+
     if design.v != 36 or design.k != 6:
         raise ShapeMismatchError("duality identity stated for v=36, k=6 designs")
     a = a_value(design)

@@ -123,9 +123,11 @@ class SearchState:
         self.objective = _reciprocal_sum(lam, self.r, self.k)
         if not math.isfinite(self.objective):
             raise DisconnectedDesignError("the annealing state needs a connected design")
-        w, vec = np.linalg.eigh(np.eye(self.v) - lam / (self.r * self.k))
-        inv, vec = 1.0 / w[1:], vec[:, 1:]  # w[0] is the zero on the all-ones vector
-        self.pp = np.einsum("na,ia,ja->nij", np.stack([inv, inv * inv]), vec, vec)
+        # C + J/v moves C's zero on the all-ones vector to 1, so its inverse
+        # minus J/v is C^+ (J the all-ones matrix)
+        j = np.full((self.v, self.v), 1.0 / self.v)
+        p = np.linalg.inv(np.eye(self.v) - lam / (self.r * self.k) + j) - j
+        self.pp = np.stack([p, p @ p])
         self._moves, self._at, self._u, self._uu = _layout(self.v // self.k, self.k)
         self._scored = None  # (move, idx, K^-1) of the last score
 

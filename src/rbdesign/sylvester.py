@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import InternalError, ShapeMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POINTS = (1, 2, 3, 4, 5, 6)
 
@@ -157,6 +159,8 @@ class Graph36:
         ))
 
     def adjacency_matrix(self) -> np.ndarray:
+        import numpy as np
+
         adj = np.zeros((36, 36), dtype=np.int64)
         for u, v in self.edges:
             adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
@@ -204,6 +208,8 @@ class SylvesterReport:
 
 def _first_pair(mask: np.ndarray) -> list[tuple[int, int]]:
     """The first 1-based pair i < j, row-major, where mask holds (or [])."""
+    import numpy as np
+
     return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(np.triu(mask, 1))[:1]]
 
 
@@ -212,6 +218,8 @@ def verify_sylvester(graph: Graph36) -> SylvesterReport:
 
     The checks are identities of the adjacency matrix A, of A^2 and of the
     same-row and same-column relations R and C."""
+    import numpy as np
+
     checks: list[StructureCheck] = []
     adj = graph.adjacency_matrix()
     row, col = np.divmod(np.arange(36), 6)
@@ -261,6 +269,8 @@ def _association_scheme_check(relations: list[np.ndarray]) -> StructureCheck:
     non-negative integer combination of the five, i.e. constant on each
     relation class.
     """
+    import numpy as np
+
     if np.any(relations[-1] < 0):
         return StructureCheck("association scheme", False, "relation classes overlap")
     for i, ri in enumerate(relations):

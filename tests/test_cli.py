@@ -20,11 +20,12 @@ def invoke(*argv):
 
 
 def run_module(*argv, module="rbdesign"):
-    """`python -m MODULE ARGV` in a fresh process importing this package."""
+    """`python -m MODULE ARGV` (`python ARGV` without a module) in a fresh
+    process importing this package."""
     src = str(Path(rbdesign.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *(["-m", module] if module else []), *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -34,6 +35,29 @@ def test_python_dash_m_matches_run():
         proc = run_module("catalog", module=module)
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+#: verbs that need no numpy, each run in turn in one fresh process
+COLD_VERBS = [["catalog"], ["generate", "--family", "gamma", "--r", "3"], ["dual", "delta-rc-3"],
+              ["export", "sylvester-edges"], ["--help"]]
+HEAVY = ["numpy", "rbdesign.efficiency", "rbdesign.search", "rbdesign.isomorphism"]
+COLD_SCRIPT = f"""
+import contextlib, io, sys
+from rbdesign import cli
+for argv in {COLD_VERBS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.run(argv, out=io.StringIO())
+        except SystemExit as exc:  # --help
+            code = exc.code
+    print(code, [m for m in {HEAVY!r} if m in sys.modules])
+"""
+
+
+def test_numpy_free_verbs_load_no_heavy_layer():
+    proc = run_module("-c", COLD_SCRIPT, module=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []"] * len(COLD_VERBS)
 
 
 SHORT = ("--restarts", "1", "--moves", "1", "--t0", "0.1", "--tmin", "0.05")
@@ -272,6 +296,14 @@ def test_search_verb_deterministic_and_seed_echoed():
     assert code1 == code2 == 0
     assert out1 == out2
     assert "seed: 5" in out1
+
+
+def test_search_echoes_the_config_defaults():
+    # without --seed and --restarts, SearchConfig's defaults run and are echoed
+    short = ("--moves", "2", "--t0", "0.1", "--tmin", "0.05", "--format", "kv")
+    code, out = invoke("search", "--r", "3", *short)
+    assert code == 0 and out.startswith("seed: 0\nrestarts: 8\n")
+    assert invoke("search", "--r", "3", "--seed", "0", "--restarts", "8", *short) == (code, out)
 
 
 def test_search_budget_accepts_suffixed_seconds():

@@ -172,29 +172,59 @@ def _near(c: int, residue: int, q: int) -> int:
     return c - (c - residue) % q
 
 
+def _moduli_calls(monkeypatch) -> list[tuple[int, int, list[int]]]:
+    """Spy on _moduli: the list it returns gets (width, bound, primes) of
+    each call."""
+    calls, true_moduli = [], efficiency._moduli
+
+    def spy(n, width, bound):
+        calls.append((width, bound, true_moduli(n, width, bound)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(efficiency, "_moduli", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_charpoly_exact_for_large_entries(monkeypatch, n):
     # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**25
     # would pass 2**53, the largest sum a float64 product keeps exact
-    moduli = []
-    true_moduli = efficiency._moduli
-
-    def spy(n_, width, bound):
-        moduli.append((width, true_moduli(n_, width, bound)))
-        return moduli[-1][1]
-
-    monkeypatch.setattr(efficiency, "_moduli", spy)
+    moduli = _moduli_calls(monkeypatch)
     rng = np.random.default_rng(n)
     for C in (rng.integers(-2**30, 2**30, size=(n, n)), np.full((n, n), 2**30),
               np.diag([2**30 - 1] * n) - 2**29, rng.integers(2**29, 2**30, size=(n, n))):
         assert efficiency._charpoly(C) == _oracle_charpoly(C)
-    assert moduli and max(w for w, _ in moduli) < efficiency._PRIME_BITS
+    assert moduli and max(w for w, _, _ in moduli) < efficiency._PRIME_BITS
     # entries whose residues modulo the narrow width's first prime sit at -+q/2
-    width, (q, *_) = moduli[-1]
+    width, _, (q, *_) = moduli[-1]
     half = [_near(2**30, (q - 1) // 2, q), _near(2**30, (q + 1) // 2, q)]
     C = rng.choice(half, size=(n, n)) * rng.choice([-1, 1], size=(n, n))
     assert efficiency._charpoly(C) == _oracle_charpoly(C)
     assert moduli[-1][0] == width
+
+
+def test_charpoly_psd_bound_on_design_matrices(monkeypatch):
+    # rk*I - Lambda of gamma-rc-8 (36 x 36, trace 36 * 40) is positive
+    # semidefinite: (1 + 40)^36 needs 8 primes and the check, where the row
+    # sum bound (1 + 80)^36 took 10 and the check
+    calls = _moduli_calls(monkeypatch)
+    d = gamma_design(8, "RC")
+    assert characteristic_polynomial(d) == _oracle_information(_information(d))
+    [(_, bound, primes)] = calls
+    assert bound == 41**36 and len(primes) == 9
+
+
+def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
+    # a signed random matrix, and a symmetric one with a nonnegative diagonal
+    # and zero row sums that is not positive semidefinite (eigenvalues 3, 0
+    # and -1), take (1 + B)^n
+    calls = _moduli_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    signed = rng.integers(-9, 10, size=(8, 8))
+    indefinite = np.array([[0, 1, -1], [1, 0, -1], [-1, -1, 2]])
+    for C in (signed, signed + signed.T, indefinite):
+        assert efficiency._charpoly(C) == _oracle_charpoly(C)
+        assert calls[-1][1] == (1 + int(np.abs(C).sum(axis=1).max())) ** len(C)
 
 
 def test_charpoly_mod_exact_at_the_float_limit():

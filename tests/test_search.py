@@ -224,6 +224,15 @@ def test_woodbury_state_does_not_drift():
     assert state.objective == pytest.approx(fresh.objective, abs=1e-10)
 
 
+def test_state_starts_from_the_pseudoinverse():
+    for r, seed in ((2, 51), (2, 52), (4, 53), (8, 54)):
+        design = random_resolvable(36, 6, r, _rng(seed))
+        state = SearchState(design)
+        c = np.eye(36) - concurrence_matrix(design) / (6 * r)
+        np.testing.assert_allclose(state.pp[0], np.linalg.pinv(c), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.pp[1], state.pp[0] @ state.pp[0], rtol=0, atol=1e-10)
+
+
 class _OracleState(SearchState):
     """The float-route scorer for every swap: swap, one eigendecomposition
     of Lambda from the blocks, swap back; the fast scorer must take the same

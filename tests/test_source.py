@@ -1,8 +1,12 @@
-"""Source-level gates: no runtime invariant may rest on assert, and A has
-one float route."""
+"""Source-level gates: no runtime invariant may rest on assert, A has one
+float route, and the cold path imports neither numpy nor the heavy layers."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 import rbdesign
 
@@ -20,11 +24,9 @@ def test_no_runtime_asserts_in_source():
     assert found - TYPE_NARROWING == set()
 
 
-#: numpy's eigendecompositions; the two expected sites are the float route for
-#: A and the annealer's one factorization of P = C^+ per state
+#: numpy's eigendecompositions; the one expected site is the float route for A
 EIGEN = {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
-FLOAT_ROUTES = [("efficiency.py", "_float_factors", "np.linalg.eigvalsh"),
-                ("search.py", "SearchState.__init__", "np.linalg.eigh")]
+FLOAT_ROUTES = [("efficiency.py", "_float_factors", "np.linalg.eigvalsh")]
 
 
 def _eigen_calls(node, scope=""):
@@ -46,3 +48,58 @@ def test_one_float_route():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [(path.name, *call) for call in _eigen_calls(tree)]
     assert sorted(found) == FLOAT_ROUTES
+
+
+#: the modules a numpy-free verb imports, and what none of them may import at
+#: module level: numpy and the layers built on it
+COLD_MODULES = ("__init__.py", "cli.py", "core.py", "families.py", "refdata.py", "sylvester.py")
+HEAVY = {"numpy", "efficiency", "search", "isomorphism", "canon"}
+
+
+def _module_level_imports(tree):
+    """Every module a statement outside any function body imports: the first
+    dotted component of absolute imports, the module of relative ones, and
+    the names a bare ``from . import`` takes.  A ``TYPE_CHECKING`` block
+    never runs, so it is skipped."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _module_level_imports(ast.Module(node.orelse, []))
+        elif isinstance(node, (ast.If, ast.Try, ast.With, ast.ClassDef)):
+            yield from _module_level_imports(node)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.partition(".")[0]
+            if node.level and not node.module:
+                yield from (alias.name for alias in node.names)
+
+
+def test_cold_modules_import_no_heavy_layer_at_module_level():
+    found = {}
+    for name in COLD_MODULES:
+        path = Path(rbdesign.__file__).parent / name
+        found[name] = set(_module_level_imports(ast.parse(path.read_text()))) & HEAVY
+    assert found == dict.fromkeys(COLD_MODULES, set())
+
+
+def test_module_level_import_scan_sees_every_form():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import inv\nfrom .search import x\n"
+                     "from . import canon\ntry:\n    import isomorphism\nexcept ImportError:\n"
+                     "    pass\nif TYPE_CHECKING:\n    import efficiency\n"
+                     "def f():\n    import efficiency\n")
+    assert list(_module_level_imports(tree)) == ["numpy", "numpy", "search", "canon", "isomorphism"]
+
+
+def test_public_names_resolve_lazily_to_their_definitions(monkeypatch):
+    for name in [*rbdesign.__all__, "search"]:
+        # unresolved again, as after a fresh import
+        monkeypatch.delattr(rbdesign, name, raising=False)
+    assert set(rbdesign.__all__) <= set(dir(rbdesign))
+    for name in rbdesign.__all__:
+        module = importlib.import_module(f"rbdesign.{rbdesign._EXPORTS[name]}")
+        value = getattr(rbdesign, name)
+        assert value is getattr(module, name) and value.__module__ == module.__name__, name
+    assert rbdesign.search is sys.modules["rbdesign.search"]  # a layer is an attribute
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(rbdesign, "no_such_name")
