@@ -26,9 +26,13 @@ a discrete partition and is trivial.
 Scale target is <= 90 vertices (designs on 36 varieties plus their blocks).
 Refinement takes most of the labeling time, so it numbers cells by position
 in the ordered partition, as nauty does, and a round recomputes only the
-cells next to a vertex whose cell id just changed (see `refine`).
-Certificates read the graph's boolean adjacency matrix: the packed upper
-triangle of its relabeling, as nauty packs adjacency rows.
+cells next to a vertex whose cell id just changed (see `refine`).  Refine
+hands back the ordered partition it kept, and the search reads each node's
+leaf test and target cell from it.  Each node tests every found
+automorphism once against its prefix: before a sibling's orbit test it adds
+only those found since its previous test.  Certificates read the graph's
+boolean adjacency matrix: the packed upper triangle of its relabeling, as
+nauty packs adjacency rows.
 """
 
 from __future__ import annotations
@@ -42,10 +46,8 @@ import numpy as np
 Perm = tuple[int, ...]
 
 
-def _orbit(points: Sequence[int], autos: Sequence[Perm], fixing: Sequence[int]) -> set[int]:
-    """Union of orbits of `points` under the automorphisms in `autos` that
-    fix every point of `fixing`."""
-    gens = [g for g in autos if all(g[p] == p for p in fixing)]
+def _orbit(points: Sequence[int], gens: Sequence[Perm]) -> set[int]:
+    """Union of the orbits of `points` under the group that `gens` generate."""
     seen = set(points)
     frontier = list(points)
     while frontier:
@@ -83,7 +85,7 @@ class CanonicalLabeling:
 
 
 def refine(adj: Sequence[set[int]], colors: Sequence[int],
-           changed: Sequence[int] | None = None) -> list[int]:
+           changed: Sequence[int] | None = None) -> tuple[list[int], dict[int, list[int]]]:
     """Equitable refinement, round by round.  A vertex's signature is its
     color and the sorted colors of its neighbors; each round splits every
     cell into its signature classes in sorted signature order, so the
@@ -102,6 +104,10 @@ def refine(adj: Sequence[set[int]], colors: Sequence[int],
     `changed` names the vertices whose ids differ from an equitable
     partition that `colors` refines; `_individualize` passes the rest of
     the individualized cell.
+
+    Returns (ids, cells): ids[v] is the id of v's cell, and cells maps each
+    id to the vertices of that cell in ascending order.  The search reads
+    its target cell and its leaf test from `cells`.
     """
     if changed is None:
         # each vertex's id is the number of vertices of smaller color
@@ -139,26 +145,14 @@ def refine(adj: Sequence[set[int]], colors: Sequence[int],
                         ids[v] = pos
                     changed.extend(part)
                 pos += len(part)
-    return ids
-
-
-def _target_cell(colors: Sequence[int]) -> list[int] | None:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    best = None
-    for c in sorted(cells):
-        vs = cells[c]
-        if len(vs) > 1 and (best is None or len(vs) < len(best)):
-            best = vs
-    return best
+    return ids, cells
 
 
 def _individualize(adj: Sequence[set[int]], colors: Sequence[int], cell: Sequence[int],
-                  v: int) -> list[int]:
+                   v: int) -> tuple[list[int], dict[int, list[int]]]:
     """Refine `colors` (equitable, with positional ids) after splitting `v`
     off the front of its cell: v keeps the cell's id, the rest of the cell
-    take id + 1."""
+    take id + 1.  Returns refine's (ids, cells)."""
     rest = [u for u in cell if u != v]
     ids = list(colors)
     for u in rest:
@@ -191,14 +185,13 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     first: dict = {}
     best: dict = {}
 
-    def dfs(cur: list[int], prefix: list[int]) -> None:
-        cell = _target_cell(cur)
-        if cell is None:
-            vertex_at = np.argsort(cur)  # discrete partition: position -> vertex
+    def dfs(ids: list[int], cells: dict[int, list[int]], prefix: list[int]) -> None:
+        if len(cells) == n:
+            vertex_at = np.argsort(ids)  # discrete partition: position -> vertex
             cert = _certificate(matrix, upper, vertex_at, init_colors)
             if not first:
                 first["cert"] = best["cert"] = cert
-                first["lab"] = best["lab"] = cur
+                first["lab"] = best["lab"] = ids
                 first["path"] = prefix
                 return
             for ref in (first, best):
@@ -209,21 +202,29 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
                     break
             if cert > best["cert"]:
                 best["cert"] = cert
-                best["lab"] = cur
+                best["lab"] = ids
             return
+        # the smallest non-singleton cell, the one at the lowest position on a tie
+        cell = cells[min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)[1]]
+        gens: list[Perm] = []  # the found automorphisms that fix the prefix
+        tested = 0  # autos[:tested] have been filtered into gens
         explored: list[int] = []
         for v in cell:
-            if explored and v in _orbit(explored, autos, fixing=prefix):
-                continue
-            dfs(_individualize(adjsets, cur, cell, v), prefix + [v])
+            if explored:
+                gens += [g for g in autos[tested:] if all(g[p] == p for p in prefix)]
+                tested = len(autos)
+                if v in _orbit(explored, gens):
+                    continue
+            dfs(*_individualize(adjsets, ids, cell, v), prefix + [v])
             explored.append(v)
 
-    dfs(refine(adjsets, init_colors), [])
+    dfs(*refine(adjsets, init_colors), [])
     del dfs  # it closes over itself: a cycle that would keep every table alive until gc
-    path = first["path"]
     order = 1
-    for i, v in enumerate(path):
-        order *= len(_orbit([v], autos, fixing=path[:i]))
+    gens = autos
+    for v in first["path"]:
+        order *= len(_orbit([v], gens))
+        gens = [g for g in gens if g[v] == v]
     return CanonicalLabeling(
         labeling=tuple(best["lab"]), certificate=best["cert"],
         group=_Group(gens=tuple(autos), size=order),

@@ -33,6 +33,7 @@ from .core import (
 from .sylvester import galaxy, sylvester_graph
 
 VARIANTS = ("plain", "R", "C", "RC")
+_TRIVIAL_REPLICATES = {"plain": 0, "R": 1, "C": 1, "RC": 2}  # prepended rows/columns
 
 LatinSquare6 = tuple[tuple[int, ...], ...]  # 6x6 grid of symbols 1..6
 
@@ -50,11 +51,12 @@ def columns_replicate() -> tuple[tuple[int, ...], ...]:
 def _family_design(name: str, units, r: int, variant: str, max_units: int) -> ResolvableDesign:
     if variant not in VARIANTS:
         raise ShapeMismatchError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    n_units = r - {"plain": 0, "R": 1, "C": 1, "RC": 2}[variant]
+    off = _TRIVIAL_REPLICATES[variant]
+    n_units = r - off
     if n_units < 0 or n_units > max_units:
         raise ShapeMismatchError(
             f"{name} variant {variant} supports r in "
-            f"{_variant_range(variant, max_units)}, got r={r}"
+            f"{range(off, max_units + off + 1)}, got r={r}"
         )
     prefix = {
         "plain": (),
@@ -65,11 +67,6 @@ def _family_design(name: str, units, r: int, variant: str, max_units: int) -> Re
     reps = prefix + tuple(units[i] for i in range(n_units))
     suffix = "" if variant == "plain" else f"-{variant.lower()}"
     return ResolvableDesign.from_replicates(reps, v=36, k=6, label=f"{name}{suffix}-{r}")
-
-
-def _variant_range(variant: str, max_units: int) -> range:
-    off = {"plain": 0, "R": 1, "C": 1, "RC": 2}[variant]
-    return range(off, max_units + off + 1)
 
 
 @lru_cache(maxsize=1)
@@ -222,7 +219,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
         "cached output of this package's annealer (see refdata for the config)"))
     for family, ctor in (("gamma", gamma_design), ("delta", delta_design)):
         for variant in VARIANTS:
-            hi = {"plain": 6, "R": 7, "C": 7, "RC": 8}[variant]
+            hi = 6 + _TRIVIAL_REPLICATES[variant]
             for r in range(2, hi + 1):
                 if variant == "RC" and r == 8:
                     continue  # the embedded copies cover rc-8

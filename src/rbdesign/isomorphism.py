@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .canon import CanonicalLabeling, canonical_labeling
+from .canon import canonical_labeling
 from .core import (
     BlockDesign,
     InternalError,
@@ -101,10 +101,6 @@ def automorphism_order(design) -> int:
     return canonical_form(design).group_order
 
 
-def _graph_canonical(graph_adj: list[list[int]]) -> CanonicalLabeling:
-    return canonical_labeling(graph_adj, [0] * len(graph_adj))
-
-
 @dataclass(frozen=True)
 class SylvesterWitness:
     """Variety permutation carrying the design's concurrence-2 pairs onto
@@ -131,8 +127,8 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     if np.any(twos.sum(axis=1) != 5):
         return None
     sigma = sylvester_graph().adjacency_matrix() == 1
-    c_design = _graph_canonical([np.flatnonzero(row).tolist() for row in twos])
-    c_sigma = _graph_canonical([np.flatnonzero(row).tolist() for row in sigma])
+    c_design = canonical_labeling([np.flatnonzero(row).tolist() for row in twos])
+    c_sigma = canonical_labeling([np.flatnonzero(row).tolist() for row in sigma])
     if c_design.certificate != c_sigma.certificate:
         return None
     # canonical slots line up: design vertex -> slot -> sigma vertex

@@ -5,12 +5,13 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbdesign import canon, catalog, catalog_entry, dual, isomorphism
-from rbdesign.canon import _individualize, _target_cell, canonical_labeling, refine
+from rbdesign.canon import _individualize, canonical_labeling, refine
 from rbdesign.isomorphism import _incidence_graph
 
 
@@ -162,6 +163,113 @@ def test_certificates_decide_isomorphism_of_random_relabelings(seed):
 def _assert_oracle_certificate(adj, colors):
     result = canonical_labeling(adj, colors)
     assert result.certificate == _oracle_certificate(adj, result.labeling, colors)
+    return result
+
+
+def _oracle_group_order(gens, n):
+    """Order of the group that the permutations `gens` generate on range(n),
+    by the deterministic Schreier-Sims algorithm (SCHREIERSIMS in Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005).  g[x] is
+    the image of x, and a product ab applies a first."""
+    identity = tuple(range(n))
+
+    def mul(a, b):
+        return tuple(map(b.__getitem__, a))
+
+    def inv(a):
+        out = [0] * n
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    base, levels = [], []  # levels[i] = (generators fixing base[:i], transversal of base[i])
+
+    def extend_base(g):
+        base.append(next(x for x in range(n) if g[x] != x))
+        levels.append(([], {}))
+
+    def orbit(i):
+        gens_i, trans = levels[i]
+        trans.clear()
+        trans[base[i]] = identity
+        frontier = [base[i]]
+        while frontier:
+            x = frontier.pop()
+            for g in gens_i:
+                if g[x] not in trans:
+                    trans[g[x]] = mul(trans[x], g)
+                    frontier.append(g[x])
+
+    def strip(g):
+        for i, b in enumerate(base):
+            u = levels[i][1].get(g[b])
+            if u is None:
+                return g, i
+            g = mul(g, inv(u))
+        return g, len(base)
+
+    for g in gens:
+        if g != identity and all(g[b] == b for b in base):
+            extend_base(g)
+    for i in range(len(base)):
+        levels[i][0].extend(g for g in gens if g != identity and all(g[b] == b for b in base[:i]))
+        orbit(i)
+    i = len(base) - 1
+    while i >= 0:
+        gens_i, trans = levels[i]
+        found = None
+        for x, u in list(trans.items()):
+            for g in gens_i:
+                ug = mul(u, g)
+                if ug == trans[g[x]]:
+                    continue
+                h, j = strip(mul(ug, inv(trans[g[x]])))
+                if j < len(base) or h != identity:
+                    if j == len(base):
+                        extend_base(h)
+                    found = h, j
+                    break
+            if found:
+                break
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        for level in range(i + 1, j + 1):
+            levels[level][0].append(h)
+            orbit(level)
+        i = j
+    order = 1
+    for _, trans in levels:
+        order *= len(trans)
+    return order
+
+
+def _assert_group_matches_oracle(adj, colors, result):
+    """Every stored permutation is an automorphism, and together they
+    generate exactly group.order() elements."""
+    n = len(adj)
+    matrix = np.zeros((n, n), dtype=bool)
+    for v, nbrs in enumerate(adj):
+        matrix[v, list(nbrs)] = True
+    gens = result.group.generators()
+    for g in gens:
+        assert sorted(g) == list(range(n))
+        assert (matrix[np.ix_(g, g)] == matrix).all()
+        assert [colors[x] for x in g] == list(colors)
+    assert _oracle_group_order(gens, n) == result.group.order()
+
+
+@pytest.mark.parametrize("gens,n,order", [
+    ([], 0, 1), ([], 5, 1),
+    ([(1, 2, 3, 4, 0)], 5, 5),
+    ([(1, 0, 2, 3), (0, 1, 3, 2)], 4, 4),
+    ([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], 6, 720),
+    ([(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)], 6, 12),
+    ([(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)], 5, 60),  # A5 from 3-cycles
+])
+def test_oracle_group_order_on_known_groups(gens, n, order):
+    assert _oracle_group_order(gens, n) == order
 
 
 @st.composite
@@ -179,7 +287,7 @@ def colored_graphs(draw):
 @settings(max_examples=100)
 @given(colored_graphs())
 def test_certificate_matches_bit_loop_on_random_graphs(graph):
-    _assert_oracle_certificate(*graph)
+    _assert_group_matches_oracle(*graph, _assert_oracle_certificate(*graph))
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
@@ -187,7 +295,7 @@ def test_certificate_matches_bit_loop_on_catalog_incidence_graphs(name):
     design = catalog_entry(name).design
     for d in (design, dual(design)):
         adj, colors, _ = _incidence_graph(d)
-        _assert_oracle_certificate(adj, colors)
+        _assert_group_matches_oracle(adj, colors, _assert_oracle_certificate(adj, colors))
 
 
 def test_certificate_matches_bit_loop_on_bond_graphs(monkeypatch, theta8, gamma_rc_8):
@@ -240,17 +348,33 @@ def _assert_positional(ids):
         start += sizes[c]
 
 
+def _assert_cells(ids, cells):
+    """`cells` is the partition of `ids`: one ascending list per distinct id."""
+    rebuilt = {}
+    for v, c in enumerate(ids):
+        rebuilt.setdefault(c, []).append(v)
+    assert cells == rebuilt
+
+
+def _target(cells):
+    """The smallest non-singleton cell, the one at the lowest position on a tie."""
+    key = min(((len(vs), c) for c, vs in cells.items() if len(vs) > 1), default=None)
+    return None if key is None else cells[key[1]]
+
+
 def _assert_matches_oracle(adj, colors):
-    ids = refine(adj, colors)
+    ids, cells = refine(adj, colors)
     _assert_positional(ids)
+    _assert_cells(ids, cells)
     assert _dense(ids) == _oracle_refine(adj, colors)
-    return ids
+    return ids, cells
 
 
 def _assert_individualizations_match_oracle(adj, ids, cell):
     for v in cell:
-        child = _individualize(adj, ids, cell, v)
+        child, cells = _individualize(adj, ids, cell, v)
         _assert_positional(child)
+        _assert_cells(child, cells)
         assert _dense(child) == _oracle_individualize(adj, _dense(ids), v)
 
 
@@ -260,8 +384,8 @@ def test_refine_matches_dense_oracle(graph, scale):
     adj, colors = graph
     adj = [set(a) for a in adj]
     # scale 5 and -3 give non-dense and reordered initial colors
-    ids = _assert_matches_oracle(adj, [scale * c for c in colors])
-    cell = _target_cell(ids)
+    ids, cells = _assert_matches_oracle(adj, [scale * c for c in colors])
+    cell = _target(cells)
     if cell is not None:
         _assert_individualizations_match_oracle(adj, ids, cell)
 
@@ -272,17 +396,14 @@ def test_refine_matches_dense_oracle_on_catalog_individualizations(name):
     for d in (design, dual(design)):
         adj, colors, _ = _incidence_graph(d)
         adj = [set(a) for a in adj]
-        root = _assert_matches_oracle(adj, colors)
-        cells = {}
-        for v, c in enumerate(root):
-            cells.setdefault(c, []).append(v)
+        root, cells = _assert_matches_oracle(adj, colors)
         for cell in cells.values():
             if len(cell) > 1:
                 _assert_individualizations_match_oracle(adj, root, cell)
         # one level down, below the first vertex of the target cell
-        cell = _target_cell(root)
-        child = _individualize(adj, root, cell, cell[0])
-        cell = _target_cell(child)
+        cell = _target(cells)
+        child, cells = _individualize(adj, root, cell, cell[0])
+        cell = _target(cells)
         if cell is not None:
             _assert_individualizations_match_oracle(adj, child, cell)
 
@@ -300,11 +421,12 @@ def test_refine_matches_dense_oracle_on_every_search_call(monkeypatch):
     calls = []
 
     def checked(adj, colors, changed=None):
-        ids = real(adj, colors, changed)
+        ids, cells = real(adj, colors, changed)
         _assert_positional(ids)
+        _assert_cells(ids, cells)
         assert _dense(ids) == _oracle_refine(adj, colors)
         calls.append(changed)
-        return ids
+        return ids, cells
 
     monkeypatch.setattr(canon, "refine", checked)
     canonical_labeling(adj, colors)
@@ -349,19 +471,19 @@ def _assert_equitable(adj, ids):
 def test_refinement_is_equitable(graph):
     adj, colors = graph
     adj = [set(a) for a in adj]
-    ids = refine(adj, colors)
+    ids, cells = refine(adj, colors)
     _assert_equitable(adj, ids)
     # the result refines the initial colors, and keeps their order
     assert all(colors[u] < colors[v] for u in range(len(adj)) for v in range(len(adj))
                if ids[u] < ids[v] and colors[u] != colors[v])
     assert len(set(zip(ids, colors))) == len(set(ids))
-    cell = _target_cell(ids)
+    cell = _target(cells)
     for v in cell or ():
-        _assert_equitable(adj, _individualize(adj, ids, cell, v))
+        _assert_equitable(adj, _individualize(adj, ids, cell, v)[0])
 
 
 def test_refinement_keeps_a_vertex_transitive_graph_whole():
-    assert refine([set(a) for a in petersen()], [0] * 10) == [0] * 10
+    assert refine([set(a) for a in petersen()], [0] * 10) == ([0] * 10, {0: list(range(10))})
 
 
 def test_entry_points_leave_no_cyclic_garbage():

@@ -16,7 +16,7 @@ from rbdesign import (
     same_spectrum,
 )
 from rbdesign.core import ResolvableDesign
-from rbdesign.isomorphism import _graph_canonical
+from rbdesign.canon import canonical_labeling
 from rbdesign.sylvester import sylvester_graph
 
 
@@ -93,7 +93,6 @@ def test_automorphism_order_of_lattice(lattice):
 
 def test_automorphism_generators_are_automorphisms(delta_rc_8):
     from rbdesign.isomorphism import _incidence_graph
-    from rbdesign.canon import canonical_labeling
 
     adj, colors, v = _incidence_graph(delta_rc_8)
     result = canonical_labeling(adj, colors)
@@ -108,7 +107,7 @@ def test_automorphism_generators_are_automorphisms(delta_rc_8):
 def test_sylvester_graph_automorphism_order():
     graph = sylvester_graph()
     adj = [[y - 1 for y in graph.neighbors(x)] for x in range(1, 37)]
-    assert _graph_canonical(adj).group.order() == 1440
+    assert canonical_labeling(adj).group.order() == 1440
 
 
 def test_isomorphic_implies_same_spectrum_and_order():
@@ -185,7 +184,7 @@ def test_five_regular_graph_with_triangles_is_not_sylvester():
     assert all(len(n) == 5 for n in adj)
     sigma = sylvester_graph()
     sigma_adj = [[y - 1 for y in sigma.neighbors(x)] for x in range(1, 37)]
-    assert _graph_canonical(adj).certificate != _graph_canonical(sigma_adj).certificate
+    assert canonical_labeling(adj).certificate != canonical_labeling(sigma_adj).certificate
 
 
 def test_sylvester_witness_checked(monkeypatch, theta8):
@@ -196,12 +195,12 @@ def test_sylvester_witness_checked(monkeypatch, theta8):
     calls = []
 
     def faulty(adj):
-        c = _graph_canonical(adj)
+        c = canonical_labeling(adj)
         calls.append(c)
         if len(calls) == 1:  # the design's labeling, reversed: a wrong witness
             c = dataclasses.replace(c, labeling=tuple(reversed(c.labeling)))
         return c
 
-    monkeypatch.setattr(isomorphism, "_graph_canonical", faulty)
+    monkeypatch.setattr(isomorphism, "canonical_labeling", faulty)
     with pytest.raises(InternalError):
         is_sylvester_design(theta8)
