@@ -26,13 +26,12 @@ a discrete partition and is trivial.
 Scale target is <= 90 vertices (designs on 36 varieties plus their blocks).
 Refinement takes most of the labeling time, so it numbers cells by position
 in the ordered partition, as nauty does, and a round recomputes only the
-cells next to a vertex whose cell id just changed (see `refine`).  Refine
-hands back the ordered partition it kept, and the search reads each node's
-leaf test and target cell from it.  Each node tests every found
-automorphism once against its prefix: before a sibling's orbit test it adds
-only those found since its previous test.  Certificates read the graph's
-boolean adjacency matrix: the packed upper triangle of its relabeling, as
-nauty packs adjacency rows.
+cells next to a vertex whose cell id just changed (see `refine`).  The
+search reads each node's leaf test and target cell from the cells refine
+returns, and a node tests each found automorphism against its prefix once,
+adding those found since its previous orbit test.  Certificates read the
+graph's boolean adjacency matrix: the packed upper triangle of its
+relabeling, as nauty packs adjacency rows.
 """
 
 from __future__ import annotations
@@ -106,8 +105,7 @@ def refine(adj: Sequence[set[int]], colors: Sequence[int],
     the individualized cell.
 
     Returns (ids, cells): ids[v] is the id of v's cell, and cells maps each
-    id to the vertices of that cell in ascending order.  The search reads
-    its target cell and its leaf test from `cells`.
+    id to the vertices of that cell in ascending order.
     """
     if changed is None:
         # each vertex's id is the number of vertices of smaller color
