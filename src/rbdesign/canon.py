@@ -158,14 +158,6 @@ def _individualize(adj: Sequence[set[int]], colors: Sequence[int], cell: Sequenc
     return refine(adj, ids, rest)
 
 
-def _certificate(adj: np.ndarray, upper: tuple[np.ndarray, np.ndarray],
-                 vertex_at: np.ndarray, init_colors: Sequence[int]) -> bytes:
-    """Colors in position order, then the upper triangle of the relabeled
-    adjacency matrix packed row-major into bits (MSB first, zero-padded)."""
-    head = ",".join(str(init_colors[v]) for v in vertex_at.tolist()).encode() + b";"
-    return head + np.packbits(adj[np.ix_(vertex_at, vertex_at)][upper]).tobytes()
-
-
 def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | None = None) -> CanonicalLabeling:
     """Canonical form of a vertex-colored undirected graph.
 
@@ -179,6 +171,11 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
         matrix[v, list(nbrs)] = True
     upper = np.triu_indices(n, 1)
     init_colors = list(colors) if colors is not None else [0] * n
+    # a certificate is the colors in position order, then the upper triangle
+    # of the relabeled adjacency matrix packed row-major into bits (MSB
+    # first, zero-padded); refine numbers the initial cells in color order
+    # and later only splits cells, so every leaf's colors are sorted
+    head = ",".join(map(str, sorted(init_colors))).encode() + b";"
     autos: list[Perm] = []
     first: dict = {}
     best: dict = {}
@@ -186,7 +183,7 @@ def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | Non
     def dfs(ids: list[int], cells: dict[int, list[int]], prefix: list[int]) -> None:
         if len(cells) == n:
             vertex_at = np.argsort(ids)  # discrete partition: position -> vertex
-            cert = _certificate(matrix, upper, vertex_at, init_colors)
+            cert = head + np.packbits(matrix[np.ix_(vertex_at, vertex_at)][upper]).tobytes()
             if not first:
                 first["cert"] = best["cert"] = cert
                 first["lab"] = best["lab"] = ids

@@ -8,7 +8,7 @@ yields identical bytes out.  Exit codes: 0 success/true, 1 false,
 2 parse/usage error, 3 disconnected design, 4 wrong shape or invalid design.
 Limits: --precision <= MAX_PRECISION (else exit 2); a design file, and
 search --v, has at most MAX_VARIETIES varieties (else exit 4): exact algebra
-takes O(v^5 log rk) float operations, about 0.07 s per characteristic
+takes O(v^5 log rk) float operations, about 0.02 s per characteristic
 polynomial at v = 64; search --r is at most MAX_REPLICATES (else exit 4);
 a search schedule proposes at most MAX_PROPOSALS swaps, restarts x stages x
 moves (else exit 2).  search --budget is read before every proposal, and no

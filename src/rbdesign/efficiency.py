@@ -15,11 +15,13 @@ then gives the polynomial from the b x b matrix when b < v, since N N^T and
 N^T N share their nonzero eigenvalues (a design and its dual share their
 non-unit efficiency factors; Patterson & Williams, Biometrika 63, 1976).
 Designs with b >= v, or with a repeated variety, use the v x v matrix.
-Faddeev-LeVerrier runs modulo enough primes below 2^25 to cover the
-coefficients' size, one float64 matrix product per step for all primes at
-once, its result kept in float64 as symmetric residues (|M| <= q/2 + 2);
-the Chinese remainder theorem rebuilds the integers and one further prime
-checks them.  A comes from the two lowest coefficients of the reduced
+Faddeev-LeVerrier runs modulo enough primes to cover the coefficients'
+size, one float64 matrix product per step for all primes at once, its
+result kept in float64 as symmetric residues (|M| <= q/2 + 2).  The primes
+are as wide as keeps that product exact, up to 48 bits: 42 bits for the
+36 x 36 design matrices and 44 for the 24 x 24 ones.  The Chinese
+remainder theorem rebuilds the integers and one further prime checks
+them.  A comes from the two lowest coefficients of the reduced
 polynomial, rational factors from integer root extraction.  The
 floating-point route is one symmetric eigendecomposition: it gives the float
 A, the annealing objective and the values of the irrational factors, whose
@@ -62,7 +64,7 @@ _FLOAT_ZERO_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 
 #: residue primes lie below 2**_PRIME_BITS (fewer bits for huge entries)
-_PRIME_BITS = 25
+_PRIME_BITS = 48
 
 
 def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int, int]:
@@ -73,13 +75,16 @@ def design_parameters(design: ResolvableDesign | BlockDesign) -> tuple[int, int,
 
 
 def _is_prime(q: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    """Miller-Rabin with bases 2, 3, 5, 7, 11, 13 and 17: deterministic below
+    341,550,071,728,321 = 10,670,053 * 32,010,157, the least strong
+    pseudoprime to all seven (Jaeschke, Math. Comp. 61, 1993), which is
+    above 2**48."""
     if q < 2 or q % 2 == 0:
         return q == 2
     d, s = q - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
+    for a in (2, 3, 5, 7, 11, 13, 17):
         x = pow(a, d, q)
         if a % q == 0 or x in (1, q - 1):
             continue
@@ -150,15 +155,18 @@ def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     residues M - rint(M/q)*q; returns an (n + 1, P) int64 array."""
     n, q = len(C), np.array(primes, dtype=np.int64)
     qf, qinv = np.repeat([q, 1 / q], n, axis=1)  # per column of [M_1 | ... | M_P]
-    inv = _inverses(n, primes)
+    inv = _inverses(n, primes).tolist()
     out = np.ones((n + 1, len(q)), dtype=np.int64)
     diag = np.arange(n)[:, None] * (n * len(q) + 1) + np.arange(0, n * len(q), n)
     M = np.tile(np.eye(n), len(q))
     for k in range(1, n + 1):
         M = C @ M
         M -= np.rint(M * qinv) * qf
-        out[k] = -(M.flat[diag].sum(axis=0).astype(np.int64) % q) * inv[k - 1] % q
-        d = M.flat[diag] + out[k]
+        d = M.flat[diag]
+        # trace times 1/k in Python ints: the product of two residues
+        # overflows int64 once q > 2**31.5
+        out[k] = [-int(t) * i % p for t, i, p in zip(d.sum(axis=0).tolist(), inv[k - 1], primes)]
+        d += out[k]
         M.flat[diag] = d - np.rint(d / q) * q
     return out
 

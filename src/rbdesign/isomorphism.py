@@ -109,6 +109,15 @@ class SylvesterWitness:
     permutation: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
+def _sylvester_labeling():
+    """The Sylvester graph's boolean adjacency matrix (read-only) and its
+    canonical labeling, computed once per process."""
+    sigma = sylvester_graph().adjacency_matrix() == 1
+    sigma.flags.writeable = False
+    return sigma, canonical_labeling([np.flatnonzero(row).tolist() for row in sigma])
+
+
 def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     """Test for concurrence matrix 7I + J + Adj(Sylvester graph) up to a
     variety permutation.
@@ -126,9 +135,8 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     twos = lam == 2  # the diagonal is r = 8
     if np.any(twos.sum(axis=1) != 5):
         return None
-    sigma = sylvester_graph().adjacency_matrix() == 1
     c_design = canonical_labeling([np.flatnonzero(row).tolist() for row in twos])
-    c_sigma = canonical_labeling([np.flatnonzero(row).tolist() for row in sigma])
+    sigma, c_sigma = _sylvester_labeling()
     if c_design.certificate != c_sigma.certificate:
         return None
     # canonical slots line up: design vertex -> slot -> sigma vertex

@@ -187,7 +187,7 @@ def _moduli_calls(monkeypatch) -> list[tuple[int, int, list[int]]]:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_charpoly_exact_for_large_entries(monkeypatch, n):
-    # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**25
+    # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**48
     # would pass 2**53, the largest sum a float64 product keeps exact
     moduli = _moduli_calls(monkeypatch)
     rng = np.random.default_rng(n)
@@ -205,13 +205,13 @@ def test_charpoly_exact_for_large_entries(monkeypatch, n):
 
 def test_charpoly_psd_bound_on_design_matrices(monkeypatch):
     # rk*I - Lambda of gamma-rc-8 (36 x 36, trace 36 * 40) is positive
-    # semidefinite: (1 + 40)^36 needs 8 primes and the check, where the row
-    # sum bound (1 + 80)^36 took 10 and the check
+    # semidefinite: (1 + 40)^36 needs 5 primes of 42 bits and the check,
+    # where the row sum bound (1 + 80)^36 would take 6 and the check
     calls = _moduli_calls(monkeypatch)
     d = gamma_design(8, "RC")
     assert characteristic_polynomial(d) == _oracle_information(_information(d))
-    [(_, bound, primes)] = calls
-    assert bound == 41**36 and len(primes) == 9
+    [(width, bound, primes)] = calls
+    assert width == 42 and bound == 41**36 and len(primes) == 6
 
 
 def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
@@ -227,29 +227,51 @@ def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
         assert calls[-1][1] == (1 + int(np.abs(C).sum(axis=1).max())) ** len(C)
 
 
-def test_charpoly_mod_exact_at_the_float_limit():
+def _widest_iterate(C: np.ndarray, q: int) -> int:
+    """Largest |entry| of the Faddeev-LeVerrier iterates C @ M_(k-1) in
+    symmetric residues modulo q, over Python ints."""
+    n, h = len(C), q // 2
+    A, M, widest = C.astype(object), np.eye(len(C), dtype=object), 0
+    for k in range(1, n + 1):
+        M = (A @ M + h) % q - h
+        widest = max(widest, int(np.abs(M).max()))
+        M += np.eye(n, dtype=object) * (-int(M.trace()) * pow(k, -1, q) % q)
+    return widest
+
+
+@pytest.mark.parametrize("width", [21, 42, 44])
+def test_charpoly_mod_exact_at_the_float_limit(width):
     # entries within 1% of the largest n * max|C| * (q/2 + 2) < 2**53
     # allows: exact only while the float step keeps every residue symmetric,
-    # the diagonal included.  Residues sit at -+q/2; in the near-constant
-    # positive matrices every M_1 entry off the diagonal is (q - 1)/2, and
-    # the diagonal residue 1/(n - 1) of C puts the diagonal of M_1 at -1,
-    # which a floor would leave at q - 1
-    primes = list(islice(efficiency._primes_below(21), 3))
+    # the diagonal included.  Residues sit at -+q/2.  Below 2**21, in the
+    # near-constant positive matrices every M_1 entry off the diagonal is
+    # (q - 1)/2, and the diagonal residue 1/(n - 1) of C puts the diagonal of
+    # M_1 at -1, which a floor would leave at q - 1.  With 42 and 44 bits
+    # (the widths of the 36 x 36 and 24 x 24 design matrices) every entry
+    # lies far below q, so the residues reach -+q/2 in later steps, and
+    # (tr mod q) * k^-1 passes 2**63
+    primes = list(islice(efficiency._primes_below(width), 3))
     q = primes[0]
     rng = np.random.default_rng(12)
 
     def limit(n):
         return (2**54 - 1) // (n * (q + 4))
 
-    c = limit(2)
-    inputs = [np.array([[_near(c, (q - 1) // 2, q), -_near(c, (q - 1) // 2, q)],
-                        [-_near(c, (q - 1) // 2, q), -_near(c, (q - 3) // 2, q)]])]
-    for n in (6, 12):
-        C = _near(limit(n), (q - 1) // 2, q) - q * rng.integers(0, 3, size=(n, n))
-        np.fill_diagonal(C, _near(limit(n), pow(n - 1, -1, q), q) - q * rng.integers(0, 3, n))
-        inputs.append(C)
+    if width == 21:
+        c = limit(2)
+        inputs = [np.array([[_near(c, (q - 1) // 2, q), -_near(c, (q - 1) // 2, q)],
+                            [-_near(c, (q - 1) // 2, q), -_near(c, (q - 3) // 2, q)]])]
+        for n in (6, 12):
+            C = _near(limit(n), (q - 1) // 2, q) - q * rng.integers(0, 3, size=(n, n))
+            np.fill_diagonal(C, _near(limit(n), pow(n - 1, -1, q), q) - q * rng.integers(0, 3, n))
+            inputs.append(C)
+    else:
+        inputs = [(limit(n) - rng.integers(0, limit(n) // 100 + 1, size=(n, n)))
+                  * rng.choice([-1, 1], size=(n, n)) for n in (12, 24)]
     for C in inputs:
         assert limit(len(C)) * 0.99 < np.abs(C).max() <= limit(len(C))
+        if width > 21:
+            assert _widest_iterate(C, q) > 0.99 * q / 2
         expected = np.array(_oracle_charpoly(C), dtype=object)
         residues = efficiency._charpoly_mod(C.astype(np.float64), primes)
         for col, p in enumerate(primes):
@@ -257,15 +279,38 @@ def test_charpoly_mod_exact_at_the_float_limit():
 
 
 def test_prime_bits_within_the_exact_range_of_the_primality_test():
-    # 3215031751 = 151 * 751 * 28351 is the smallest strong pseudoprime to
-    # bases 2, 3, 5 and 7, which _is_prime calls prime: wider primes need
-    # more Miller-Rabin bases
-    assert 3_215_031_751 == 151 * 751 * 28351 and efficiency._is_prime(3_215_031_751)
-    assert 2**efficiency._PRIME_BITS < 3_215_031_751
+    # psi_7 = 341550071728321 = 10670053 * 32010157 is the smallest strong
+    # pseudoprime to bases 2, 3, 5, 7, 11, 13 and 17 (Jaeschke 1993), which
+    # _is_prime calls prime: wider primes need more Miller-Rabin bases.
+    # 3215031751, the smallest for bases 2, 3, 5 and 7, is caught by 11
+    psi7 = 341_550_071_728_321
+    assert psi7 == 10_670_053 * 32_010_157 and efficiency._is_prime(psi7)
+    assert 2**efficiency._PRIME_BITS < psi7
+    assert not efficiency._is_prime(3_215_031_751)
 
 
 def _trial_division(q: int) -> bool:
     return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def _sieve(lo: int, hi: int) -> np.ndarray:
+    """Primality of lo..hi (lo > isqrt(hi)) by a segmented sieve of
+    Eratosthenes: the base primes up to isqrt(hi) strike out their
+    multiples in the segment."""
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p::p] = False
+    ps = np.flatnonzero(base)
+    seg = np.ones(hi - lo + 1, dtype=bool)
+    first = -lo % ps  # offset of each base prime's first multiple
+    for p, f in zip(ps[ps <= len(seg)].tolist(), first[ps <= len(seg)].tolist()):
+        seg[f::p] = False
+    big = (ps > len(seg)) & (first < len(seg))
+    seg[first[big]] = False
+    return seg
 
 
 def test_is_prime_matches_trial_division():
@@ -276,6 +321,15 @@ def test_is_prime_matches_trial_division():
     assert all(_trial_division(q) for q in widest)
     skipped = set(range(widest[-1], widest[0] + 1, 2)) - set(widest)
     assert not any(_trial_division(q) for q in skipped)
+    # below 2**48, where trial division is too slow: a segmented sieve
+    # judges the 50 primes and every odd number between them
+    widest = list(islice(efficiency._primes_below(efficiency._PRIME_BITS), 50))
+    assert widest == sorted(widest, reverse=True) and widest[0] < 2**efficiency._PRIME_BITS
+    lo = widest[-1]
+    prime = _sieve(lo, widest[0])
+    assert np.flatnonzero(prime[::2]).tolist() == [(q - lo) // 2 for q in reversed(widest)]
+    assert np.flatnonzero(prime[1::2]).size == 0  # evens
+    assert _sieve(lo, 2**efficiency._PRIME_BITS - 1)[widest[0] - lo + 1:].sum() == 0
 
 
 def test_charpoly_rejects_entries_beyond_exact_products():

@@ -159,6 +159,20 @@ def test_sylvester_witness_maps_concurrence_onto_graph(theta8):
             assert lam[i, j] == expected
 
 
+def test_sylvester_graph_labeled_once_per_process(monkeypatch, theta8, gamma_rc_8):
+    from rbdesign import isomorphism
+
+    isomorphism._sylvester_labeling.cache_clear()
+    labeled = []
+    monkeypatch.setattr(isomorphism, "canonical_labeling",
+                        lambda adj: labeled.append(len(adj)) or canonical_labeling(adj))
+    first = is_sylvester_design(theta8)
+    assert len(labeled) == 2  # the design's graph, then the Sylvester graph
+    assert is_sylvester_design(theta8) == first
+    assert is_sylvester_design(gamma_rc_8) is not None
+    assert len(labeled) == 4  # one labeling per later call: the design's
+
+
 def test_sylvester_predicate_rejects_repeated_galaxy():
     g7 = gamma_design(7, "RC")
     reps = g7.replicates + (g7.replicates[-1],)
