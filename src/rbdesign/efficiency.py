@@ -25,9 +25,10 @@ them.  A comes from the two lowest coefficients of the reduced
 polynomial, rational factors from integer root extraction.  The
 floating-point route is one symmetric eigendecomposition: it gives the float
 A, the annealing objective and the values of the irrational factors, whose
-multiplicities are checked against the exactly-deflated remainder (a gcd
-modulo 2^61 - 1 proves most remainders squarefree without the integer gcd
-chain)."""
+multiplicities are checked against the exactly-deflated remainder (integer
+roots are sought only among divisors of the constant term, and a gcd modulo
+2^30 - 35, whose residues are one CPython digit, proves most remainders
+squarefree without the integer gcd chain)."""
 
 from __future__ import annotations
 
@@ -325,8 +326,8 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-#: modulus of the squarefree proof: a Mersenne prime far above any degree
-_GCD_PRIME = (1 << 61) - 1
+#: modulus of the squarefree proof: the largest prime below 2**30, far above any degree
+_GCD_PRIME = (1 << 30) - 35
 
 
 def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
@@ -335,8 +336,7 @@ def _rem_mod(a: list[int], b: list[int], m: int) -> list[int]:
     a, inv = a[:], pow(b[-1], -1, m)
     while len(a) >= len(b):
         f, d = a[-1] * inv % m, len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + d] = (a[i + d] - f * c) % m
+        a[d:] = [(x - f * c) % m for x, c in zip(a[d:], b)]
         while a and a[-1] == 0:
             a.pop()
     return a
@@ -347,7 +347,8 @@ def _squarefree_mod(p: list[int]) -> bool:
     (nor then that of p', deg p being far smaller) and gcd(p, p') is a
     constant modulo it.  Reducing modulo such a prime can only raise the
     degree of a gcd, so True proves p squarefree over Q; False proves
-    nothing."""
+    nothing.  Below 2**30 a residue is one 30-bit CPython digit and a product
+    two, so Euclid's multiplies and divides take the small-int paths."""
     m = _GCD_PRIME
     if p[-1] % m == 0:
         return False
@@ -430,7 +431,8 @@ def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpe
     rem = reduced[:]
     for t in range(1, rk + 1):
         mult = 0
-        while len(rem) > 1 and _poly_eval_int(rem, t) == 0:
+        # rem is monic with rem[0] != 0, so an integer root t divides rem[0]
+        while len(rem) > 1 and rem[0] % t == 0 and _poly_eval_int(rem, t) == 0:
             rem = _deflate_int_root(rem, t)
             mult += 1
         if mult:

@@ -28,7 +28,7 @@ from rbdesign import (
     round_decimal,
     square_lattice_bound,
 )
-from rbdesign import efficiency
+from rbdesign import cli, efficiency
 from rbdesign.efficiency import characteristic_polynomial
 from rbdesign.search import random_resolvable
 from rbdesign.sylvester import galaxy, sylvester_graph
@@ -536,6 +536,116 @@ def test_squarefree_proof_declines_when_the_prime_divides_the_lead(monkeypatch, 
     assert not efficiency._squarefree_mod(double)
     assert efficiency._multiplicity_profile(double) == {2: 1}
     assert efficiency._squarefree_mod([-2, 0, 1])
+
+
+def test_gcd_prime_is_one_digit_and_above_every_degree():
+    # a residue below 2**30 is one CPython digit; a prime above every degree
+    # the CLI admits never divides i in the derivative's coefficients i * p_i
+    assert efficiency._is_prime(efficiency._GCD_PRIME)
+    assert cli.MAX_VARIETIES < efficiency._GCD_PRIME < 2**30
+
+
+def _oracle_rational_roots(reduced: list[int], rk: int) -> tuple[list, list[int]]:
+    """The exhaustive integer-root scan: every t = 1..rk by Horner, each root
+    deflated by synthetic division; ((t/rk, multiplicity) pairs, residual)."""
+    factors, rem = [], list(reduced)
+    for t in range(1, rk + 1):
+        mult = 0
+        while len(rem) > 1:
+            high = [rem[-1]]  # Horner, x^n first: the quotient then p(t)
+            for c in rem[-2::-1]:
+                high.append(c + t * high[-1])
+            if high[-1]:
+                break
+            rem, mult = high[-2::-1], mult + 1
+        if mult:
+            factors.append((Fraction(t, rk), mult))
+    return factors, rem
+
+
+def _spectrum_scan(design, reduced: list[int]) -> tuple[list, list[int]]:
+    """efficiency_spectrum's root scan of the reduced polynomial `reduced` at
+    the design's rk: ((t/rk, multiplicity) pairs, residual)."""
+    residuals = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(efficiency, "_reduced_polynomial", lambda d, v, rk: (None, 1, list(reduced)))
+        mp.setattr(efficiency, "_irrational_factors",
+                   lambda rem, rational, floats: residuals.append(rem) or [])
+        factors = efficiency_spectrum(design).factors
+    return [(f.value, f.multiplicity) for f in factors], (residuals + [[1]])[0]
+
+
+#: constant terms with many divisors, so the screen passes many non-roots
+_RICH_CONSTANTS = [1, -1, 2, 720720, -720720, 5040, 2**12 * 3**6, -(2**20), 55440 * 49]
+
+
+@st.composite
+def _root_scan_inputs(draw):
+    # monic prod (x - t)^m * g, g monic with g(0) != 0, roots t = 1 and t = rk
+    # among them, beside others inside and outside 1..rk
+    r, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rk = r * k
+    roots = {1: draw(st.integers(1, 15)), rk: draw(st.integers(1, 15))}
+    others = st.integers(-rk, 2 * rk).filter(bool)
+    roots.update(draw(st.dictionaries(others, st.integers(1, 15), max_size=3)))
+    const = draw(st.sampled_from(_RICH_CONSTANTS) | st.integers(-10**6, 10**6).filter(bool))
+    poly = [const] + draw(st.lists(st.integers(-60, 60), max_size=5)) + [1]  # low-order first
+    for t, m in roots.items():
+        for _ in range(m):
+            poly = [a - t * b for a, b in zip([0] + poly, poly + [0])]
+    return random_resolvable(2 * k, k, r, np.random.default_rng(0)), poly
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_root_scan_inputs())
+def test_root_scan_matches_exhaustive_scan(case):
+    design, poly = case
+    assert _spectrum_scan(design, poly) == _oracle_rational_roots(poly, design.r * design.k)
+
+
+def test_root_scan_matches_exhaustive_scan_on_designs(monkeypatch, catalog_and_duals):
+    # every reduced polynomial the catalog, its duals and 20 random designs
+    # meet: the same rational factors and the same residual as the full scan
+    seen = []
+    true_reduced, true_irrational = efficiency._reduced_polynomial, efficiency._irrational_factors
+
+    def reduced(d, v, rk):
+        out = true_reduced(d, v, rk)
+        seen.append([out[2], rk, [1]])
+        return out
+
+    def irrational(rem, rational, floats):
+        seen[-1][2] = rem
+        return true_irrational(rem, rational, floats)
+
+    monkeypatch.setattr(efficiency, "_reduced_polynomial", reduced)
+    monkeypatch.setattr(efficiency, "_irrational_factors", irrational)
+    rng = np.random.default_rng(20)
+    designs = [d for _, d in catalog_and_duals]
+    designs += [random_resolvable(36, 6, r, rng) for r in [3, 4, 5, 6, 8] * 4]
+    for d in designs:
+        spec = efficiency_spectrum(d)
+        poly, rk, residual = seen[-1]
+        if spec.connected:
+            exact = [(f.value, f.multiplicity) for f in spec.factors if f.exact]
+            assert (exact, residual) == _oracle_rational_roots(poly, rk), d.label
+
+
+def test_fast_path_work_counts(monkeypatch):
+    # on the benchmark's kind of design, every residual is proven squarefree
+    # modulo _GCD_PRIME and the root scan evaluates only divisors of the
+    # constant term; exact counts, so no host speed moves this pin
+    evals, gcds = [], []
+    true_eval, true_gcd = efficiency._poly_eval_int, efficiency._poly_gcd
+    monkeypatch.setattr(efficiency, "_poly_eval_int",
+                        lambda c, t: evals.append(c[0] % t) or true_eval(c, t))
+    monkeypatch.setattr(efficiency, "_poly_gcd", lambda a, b: gcds.append(1) or true_gcd(a, b))
+    rng = np.random.default_rng(22)
+    for r in [4] * 10 + [8] * 10:
+        efficiency_spectrum(random_resolvable(36, 6, r, rng))
+    assert not gcds
+    assert not any(evals)
+    assert len(evals) == 449  # 150 at roots; the unscreened scan makes 870
 
 
 def test_float_oracle_examples():
