@@ -563,18 +563,6 @@ def _oracle_rational_roots(reduced: list[int], rk: int) -> tuple[list, list[int]
     return factors, rem
 
 
-def _spectrum_scan(design, reduced: list[int]) -> tuple[list, list[int]]:
-    """efficiency_spectrum's root scan of the reduced polynomial `reduced` at
-    the design's rk: ((t/rk, multiplicity) pairs, residual)."""
-    residuals = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(efficiency, "_reduced_polynomial", lambda d, v, rk: (None, 1, list(reduced)))
-        mp.setattr(efficiency, "_irrational_factors",
-                   lambda rem, rational, floats: residuals.append(rem) or [])
-        factors = efficiency_spectrum(design).factors
-    return [(f.value, f.multiplicity) for f in factors], (residuals + [[1]])[0]
-
-
 #: constant terms with many divisors, so the screen passes many non-roots
 _RICH_CONSTANTS = [1, -1, 2, 720720, -720720, 5040, 2**12 * 3**6, -(2**20), 55440 * 49]
 
@@ -599,8 +587,17 @@ def _root_scan_inputs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_root_scan_inputs())
 def test_root_scan_matches_exhaustive_scan(case):
+    # efficiency_spectrum's scan, fed poly as the reduced polynomial, against
+    # the full scan: the same rational factors and the residual it hands on
     design, poly = case
-    assert _spectrum_scan(design, poly) == _oracle_rational_roots(poly, design.r * design.k)
+    residuals = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(efficiency, "_reduced_polynomial", lambda d, v, rk: (None, 1, list(poly)))
+        mp.setattr(efficiency, "_irrational_factors",
+                   lambda rem, rational, floats: residuals.append(rem) or [])
+        factors = [(f.value, f.multiplicity) for f in efficiency_spectrum(design).factors]
+    expected = _oracle_rational_roots(poly, design.r * design.k)
+    assert (factors, (residuals + [[1]])[0]) == expected
 
 
 def test_root_scan_matches_exhaustive_scan_on_designs(monkeypatch, catalog_and_duals):
