@@ -526,7 +526,8 @@ def test_squarefree_proof_matches_gcd_chain(monkeypatch, catalog_and_duals):
     assert [efficiency._multiplicity_profile(p) for p in residuals] == profiles
 
 
-@pytest.mark.parametrize("m", [efficiency._GCD_PRIME, 7])
+# the Mersenne prime 2**61 - 1 keeps the proof honest on a multi-digit modulus
+@pytest.mark.parametrize("m", [efficiency._GCD_PRIME, (1 << 61) - 1, 7])
 def test_squarefree_proof_declines_when_the_prime_divides_the_lead(monkeypatch, m):
     # (m x + 1)^2 is 1 modulo m and its derivative 0: a gcd modulo m looks
     # constant, but m divides the leading coefficient, so the proof declines
