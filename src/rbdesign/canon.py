@@ -29,9 +29,9 @@ in the ordered partition, as nauty does, and a round recomputes only the
 cells next to a vertex whose cell id just changed (see `refine`).  The
 search reads each node's leaf test and target cell from the cells refine
 returns, and a node tests each found automorphism against its prefix once,
-adding those found since its previous orbit test.  Certificates read the
-graph's boolean adjacency matrix: the packed upper triangle of its
-relabeling, as nauty packs adjacency rows.
+adding those found since its previous orbit test.  Graphs arrive as boolean
+adjacency matrices, read by refine as neighbor sets and by certificates as
+the packed upper triangle of the relabeling, as nauty packs adjacency rows.
 """
 
 from __future__ import annotations
@@ -158,17 +158,15 @@ def _individualize(adj: Sequence[set[int]], colors: Sequence[int], cell: Sequenc
     return refine(adj, ids, rest)
 
 
-def canonical_labeling(adj: Sequence[Sequence[int]], colors: Sequence[int] | None = None) -> CanonicalLabeling:
+def canonical_labeling(matrix: np.ndarray, colors: Sequence[int] | None = None) -> CanonicalLabeling:
     """Canonical form of a vertex-colored undirected graph.
 
-    adj: neighbor lists (0-based, symmetric); colors: initial classes (same
-    canonical meaning on both sides of any comparison), default uniform.
+    matrix: the boolean adjacency matrix (symmetric, no loops); colors:
+    initial classes (same canonical meaning on both sides of any
+    comparison), default uniform.
     """
-    n = len(adj)
-    adjsets = [set(nbrs) for nbrs in adj]
-    matrix = np.zeros((n, n), dtype=bool)
-    for v, nbrs in enumerate(adj):
-        matrix[v, list(nbrs)] = True
+    n = len(matrix)
+    adjsets = [set(np.flatnonzero(row).tolist()) for row in matrix]
     upper = np.triu_indices(n, 1)
     init_colors = list(colors) if colors is not None else [0] * n
     # a certificate is the colors in position order, then the upper triangle

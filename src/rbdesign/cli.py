@@ -124,7 +124,6 @@ def _spectrum_lines(design, spec, precision: int) -> list[tuple[str, str]]:
         pairs.append(("zero-multiplicity", str(spec.zero_multiplicity)))
         return pairs
     a = spec.a_value
-    assert a is not None
     pairs.append(("A-exact", f"{a.numerator}/{a.denominator}"))
     pairs.append(("A-decimal", round_decimal(a, precision)))
     pairs.append(("A-float-oracle", f"{a_value_float(design):.12f}"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -261,7 +260,6 @@ def dual(design: ResolvableDesign | BlockDesign) -> BlockDesign:
     return BlockDesign.from_blocks(len(blocks), dual_blocks, label=label)
 
 
-@lru_cache(maxsize=256)
 def resolution(design: BlockDesign) -> tuple[tuple[Block, ...], ...] | None:
     """Group the blocks into parallel classes, or None if impossible.
 
@@ -354,7 +352,7 @@ def read_design(text: str) -> ResolvableDesign:
         replicates.append(current)
     if not replicates:
         raise ParseError("no replicates")
-    assert k is not None
+    k = len(replicates[0][0])
     v = k * len(replicates[0])
     for ri, rep in enumerate(replicates, start=1):
         if len(rep) != len(replicates[0]):

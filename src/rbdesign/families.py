@@ -223,10 +223,10 @@ def catalog() -> tuple[CatalogEntry, ...]:
             for r in range(2, hi + 1):
                 if variant == "RC" and r == 8:
                     continue  # the embedded copies cover rc-8
-                suffix = "" if variant == "plain" else f"-{variant.lower()}"
+                design = ctor(r, variant)
                 entries.append(CatalogEntry(
-                    name=f"{family}{suffix}-{r}",
-                    design=ctor(r, variant),
+                    name=design.label,
+                    design=design,
                     provenance=f"constructed: {family} family, variant {variant}, r={r}",
                 ))
     return tuple(entries)

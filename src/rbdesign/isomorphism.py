@@ -26,6 +26,7 @@ from .core import (
     InternalError,
     ResolvableDesign,
     ShapeMismatchError,
+    _incidence,
     concurrence_matrix,
     valid_blocks,
 )
@@ -42,19 +43,22 @@ class CanonicalForm:
     group_order: int
 
 
-def _incidence_graph(design: ResolvableDesign | BlockDesign) -> tuple[list[list[int]], list[int], int]:
-    """Colored bipartite incidence graph (varieties color 0, blocks colored
-    by multiplicity).  Returns (adjacency, colors, v)."""
+def _bipartite(biadjacency: np.ndarray) -> np.ndarray:
+    """Adjacency matrix of the bipartite graph `biadjacency`: rows first, then columns."""
+    rows, cols = biadjacency.shape
+    return np.block([[np.zeros((rows, rows), dtype=bool), biadjacency],
+                     [biadjacency.T, np.zeros((cols, cols), dtype=bool)]])
+
+
+def _incidence_graph(design: ResolvableDesign | BlockDesign) -> tuple[np.ndarray, list[int], int]:
+    """Colored bipartite incidence graph (varieties color 0, then the
+    sorted distinct blocks, colored by multiplicity).  Returns (adjacency
+    matrix, colors, v)."""
     v = design.v
     multiplicity = Counter(valid_blocks(design))
     distinct = sorted(multiplicity)
-    adj: list[list[int]] = [[] for _ in range(v + len(distinct))]
     colors = [0] * v + [multiplicity[b] for b in distinct]
-    for bi, block in enumerate(distinct):
-        for x in block:
-            adj[x - 1].append(v + bi)
-            adj[v + bi].append(x - 1)
-    return adj, colors, v
+    return _bipartite(_incidence(v, distinct) > 0), colors, v
 
 
 @lru_cache(maxsize=512)
@@ -115,7 +119,7 @@ def _sylvester_labeling():
     canonical labeling, computed once per process."""
     sigma = sylvester_graph().adjacency_matrix() == 1
     sigma.flags.writeable = False
-    return sigma, canonical_labeling([np.flatnonzero(row).tolist() for row in sigma])
+    return sigma, canonical_labeling(sigma)
 
 
 def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
@@ -135,7 +139,7 @@ def is_sylvester_design(design: ResolvableDesign) -> SylvesterWitness | None:
     twos = lam == 2  # the diagonal is r = 8
     if np.any(twos.sum(axis=1) != 5):
         return None
-    c_design = canonical_labeling([np.flatnonzero(row).tolist() for row in twos])
+    c_design = canonical_labeling(twos)
     sigma, c_sigma = _sylvester_labeling()
     if c_design.certificate != c_sigma.certificate:
         return None
@@ -159,18 +163,9 @@ def concurrence_equivalent(d1, d2) -> bool:
         return False
 
     def encode(lam):
-        n = lam.shape[0]
-        adj: list[list[int]] = [[] for _ in range(n)]
-        colors = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if lam[i, j] == 0:
-                    continue
-                bond = len(adj)
-                adj.append([i, j])
-                colors.append(int(lam[i, j]))
-                adj[i].append(bond)
-                adj[j].append(bond)
-        return canonical_labeling(adj, colors).certificate
+        i, j = np.nonzero(np.triu(lam, 1))  # the pairs in row-major order
+        bonds = _incidence(len(lam), np.column_stack([i, j]) + 1) > 0
+        colors = [0] * len(lam) + lam[i, j].tolist()
+        return canonical_labeling(_bipartite(bonds), colors).certificate
 
     return encode(m1) == encode(m2)

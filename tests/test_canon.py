@@ -1,6 +1,7 @@
 """Canonical labeling engine validated against brute force and known groups."""
 
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -12,7 +13,22 @@ from hypothesis import strategies as st
 
 from rbdesign import canon, catalog, catalog_entry, dual, isomorphism
 from rbdesign.canon import _individualize, canonical_labeling, refine
+from rbdesign.core import concurrence_matrix, valid_blocks
 from rbdesign.isomorphism import _incidence_graph
+
+
+def to_matrix(adj):
+    """The boolean adjacency matrix of neighbor lists."""
+    n = len(adj)
+    matrix = np.zeros((n, n), dtype=bool)
+    for v, nbrs in enumerate(adj):
+        matrix[v, list(nbrs)] = True
+    return matrix
+
+
+def to_lists(matrix):
+    """The neighbor lists of a boolean adjacency matrix."""
+    return [np.flatnonzero(row).tolist() for row in matrix]
 
 
 def brute_force_aut_order(adj, colors):
@@ -103,14 +119,14 @@ def petersen():
     ],
 )
 def test_known_automorphism_orders(adj, order):
-    result = canonical_labeling(adj)
+    result = canonical_labeling(to_matrix(adj))
     assert result.group.order() == order
     assert result.certificate == _oracle_certificate(adj, result.labeling, [0] * len(adj))
 
 
 def test_colors_restrict_automorphisms():
     # C4 with one vertex distinguished: only the reflection through it survives
-    result = canonical_labeling(cycle(4), [1, 0, 0, 0])
+    result = canonical_labeling(to_matrix(cycle(4)), [1, 0, 0, 0])
     assert result.group.order() == 2
 
 
@@ -131,7 +147,7 @@ def test_group_order_matches_brute_force(seed):
     adj = _random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
     colors = [0] * n if seed % 2 == 0 else [v % 2 for v in range(n)]
     expected = brute_force_aut_order(adj, colors)
-    assert canonical_labeling(adj, colors).group.order() == expected
+    assert canonical_labeling(to_matrix(adj), colors).group.order() == expected
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -139,7 +155,7 @@ def test_certificates_decide_isomorphism_of_random_relabelings(seed):
     rng = random.Random(100 + seed)
     n = 8
     adj = _random_graph(n, 0.4, rng)
-    cert = canonical_labeling(adj).certificate
+    cert = canonical_labeling(to_matrix(adj)).certificate
     perm = list(range(n))
     rng.shuffle(perm)
     relabeled = [[] for _ in range(n)]
@@ -147,7 +163,7 @@ def test_certificates_decide_isomorphism_of_random_relabelings(seed):
         for u in adj[v]:
             relabeled[perm[v]].append(perm[u])
     relabeled = [sorted(x) for x in relabeled]
-    assert canonical_labeling(relabeled).certificate == cert
+    assert canonical_labeling(to_matrix(relabeled)).certificate == cert
     # flipping one edge must change the certificate
     u, v = None, None
     for i in range(n):
@@ -157,11 +173,11 @@ def test_certificates_decide_isomorphism_of_random_relabelings(seed):
     if u is not None:
         adj[u].append(v)
         adj[v].append(u)
-        assert canonical_labeling(adj).certificate != cert
+        assert canonical_labeling(to_matrix(adj)).certificate != cert
 
 
 def _assert_oracle_certificate(adj, colors):
-    result = canonical_labeling(adj, colors)
+    result = canonical_labeling(to_matrix(adj), colors)
     assert result.certificate == _oracle_certificate(adj, result.labeling, colors)
     return result
 
@@ -249,9 +265,7 @@ def _assert_group_matches_oracle(adj, colors, result):
     """Every stored permutation is an automorphism, and together they
     generate exactly group.order() elements."""
     n = len(adj)
-    matrix = np.zeros((n, n), dtype=bool)
-    for v, nbrs in enumerate(adj):
-        matrix[v, list(nbrs)] = True
+    matrix = to_matrix(adj)
     gens = result.group.generators()
     for g in gens:
         assert sorted(g) == list(range(n))
@@ -290,26 +304,86 @@ def test_certificate_matches_bit_loop_on_random_graphs(graph):
     _assert_group_matches_oracle(*graph, _assert_oracle_certificate(*graph))
 
 
+def _oracle_incidence_graph(design):
+    """The incidence graph by the loop: the varieties, then the sorted
+    distinct blocks colored by multiplicity.  Returns (neighbor lists, colors)."""
+    multiplicity = Counter(valid_blocks(design))
+    distinct = sorted(multiplicity)
+    adj = [[] for _ in range(design.v + len(distinct))]
+    for bi, block in enumerate(distinct):
+        for x in block:
+            adj[x - 1].append(design.v + bi)
+            adj[design.v + bi].append(x - 1)
+    return adj, [0] * design.v + [multiplicity[b] for b in distinct]
+
+
+def _oracle_bond_graph(lam):
+    """The bond graph by the loop: the varieties, then one vertex per pair
+    i < j with lam[i, j] > 0 in row-major order, colored by lam[i, j].
+    Returns (neighbor lists, colors)."""
+    n = len(lam)
+    adj = [[] for _ in range(n)]
+    colors = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if lam[i, j]:
+                adj[i].append(len(adj))
+                adj[j].append(len(adj))
+                adj.append([i, j])
+                colors.append(int(lam[i, j]))
+    return adj, colors
+
+
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
 def test_certificate_matches_bit_loop_on_catalog_incidence_graphs(name):
     design = catalog_entry(name).design
     for d in (design, dual(design)):
-        adj, colors, _ = _incidence_graph(d)
+        matrix, colors, _ = _incidence_graph(d)
+        adj = to_lists(matrix)
+        assert (adj, colors) == _oracle_incidence_graph(d)
         _assert_group_matches_oracle(adj, colors, _assert_oracle_certificate(adj, colors))
 
 
-def test_certificate_matches_bit_loop_on_bond_graphs(monkeypatch, theta8, gamma_rc_8):
+@pytest.fixture(scope="module")
+def bond_graphs(theta8, gamma_rc_8):
+    """(matrix, colors, labeling) of the two bond graphs that
+    concurrence_equivalent(theta8, gamma_rc_8) labels."""
     graphs = []
 
-    def spy(adj, colors):
-        graphs.append((adj, colors))
-        return canonical_labeling(adj, colors)
+    def spy(matrix, colors):
+        result = canonical_labeling(matrix, colors)
+        graphs.append((matrix, colors, result))
+        return result
 
-    monkeypatch.setattr(isomorphism, "canonical_labeling", spy)
-    assert isomorphism.concurrence_equivalent(theta8, gamma_rc_8)
-    assert [len(adj) for adj, _ in graphs] == [666, 666]  # 36 varieties + 630 pairs
-    for adj, colors in graphs:
-        _assert_oracle_certificate(adj, colors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isomorphism, "canonical_labeling", spy)
+        assert isomorphism.concurrence_equivalent(theta8, gamma_rc_8)
+    return graphs
+
+
+def test_certificate_matches_bit_loop_on_bond_graphs(bond_graphs, theta8, gamma_rc_8):
+    assert [len(matrix) for matrix, _, _ in bond_graphs] == [666, 666]  # 36 varieties + 630 pairs
+    for (matrix, colors, result), design in zip(bond_graphs, (theta8, gamma_rc_8)):
+        assert (to_lists(matrix), colors) == _oracle_bond_graph(concurrence_matrix(design))
+        assert result.certificate == _oracle_certificate(to_lists(matrix), result.labeling, colors)
+
+
+#: sha256 of repr([(certificate, labeling, group order), ...]) over the
+#: incidence graphs of gamma-rc-8, its dual, theta-8, its dual, delta-rc-8
+#: and its dual, then the two bond graphs of bond_graphs
+LABELINGS_SHA256 = "28f871d69de1eaf2c75730caf5abd67a0445c82c55e7ca7bb5414d483fde03e8"
+
+
+def test_labelings_keep_their_bytes(bond_graphs):
+    results = []
+    for name in ("gamma-rc-8", "theta-8", "delta-rc-8"):
+        design = catalog_entry(name).design
+        for d in (design, dual(design)):
+            matrix, colors, _ = _incidence_graph(d)
+            results.append(canonical_labeling(matrix, colors))
+    results += [result for _, _, result in bond_graphs]
+    encoded = repr([(r.certificate, r.labeling, r.group.order()) for r in results]).encode()
+    assert hashlib.sha256(encoded).hexdigest() == LABELINGS_SHA256
 
 
 def _oracle_refine(adj, colors):
@@ -394,8 +468,8 @@ def test_refine_matches_dense_oracle(graph, scale):
 def test_refine_matches_dense_oracle_on_catalog_individualizations(name):
     design = catalog_entry(name).design
     for d in (design, dual(design)):
-        adj, colors, _ = _incidence_graph(d)
-        adj = [set(a) for a in adj]
+        matrix, colors, _ = _incidence_graph(d)
+        adj = [set(a) for a in to_lists(matrix)]
         root, cells = _assert_matches_oracle(adj, colors)
         for cell in cells.values():
             if len(cell) > 1:
@@ -416,7 +490,7 @@ def _relabel(design, seed):
 
 
 def test_refine_matches_dense_oracle_on_every_search_call(monkeypatch):
-    adj, colors, _ = _incidence_graph(_relabel(catalog_entry("gamma-c-2").design, 2))
+    matrix, colors, _ = _incidence_graph(_relabel(catalog_entry("gamma-c-2").design, 2))
     real = refine
     calls = []
 
@@ -429,7 +503,7 @@ def test_refine_matches_dense_oracle_on_every_search_call(monkeypatch):
         return ids, cells
 
     monkeypatch.setattr(canon, "refine", checked)
-    canonical_labeling(adj, colors)
+    canonical_labeling(matrix, colors)
     assert len(calls) == 460
     assert calls[0] is None and all(changed for changed in calls[1:])
 
@@ -452,8 +526,8 @@ def test_search_visits_pinned_node_counts(monkeypatch, name, shuffle, nodes):
         return real(*args)
 
     monkeypatch.setattr(canon, "refine", counted)
-    adj, colors, _ = _incidence_graph(design)
-    canonical_labeling(adj, colors)
+    matrix, colors, _ = _incidence_graph(design)
+    canonical_labeling(matrix, colors)
     assert len(calls) == nodes
 
 

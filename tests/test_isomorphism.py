@@ -18,6 +18,7 @@ from rbdesign import (
 from rbdesign.core import ResolvableDesign
 from rbdesign.canon import canonical_labeling
 from rbdesign.sylvester import sylvester_graph
+from test_canon import to_matrix
 
 
 def _relabel(design, seed):
@@ -94,8 +95,8 @@ def test_automorphism_order_of_lattice(lattice):
 def test_automorphism_generators_are_automorphisms(delta_rc_8):
     from rbdesign.isomorphism import _incidence_graph
 
-    adj, colors, v = _incidence_graph(delta_rc_8)
-    result = canonical_labeling(adj, colors)
+    matrix, colors, v = _incidence_graph(delta_rc_8)
+    result = canonical_labeling(matrix, colors)
     blocks = sorted(delta_rc_8.blocks())
     for gen in result.group.generators():
         # the variety part of each generator must preserve the block multiset
@@ -107,7 +108,7 @@ def test_automorphism_generators_are_automorphisms(delta_rc_8):
 def test_sylvester_graph_automorphism_order():
     graph = sylvester_graph()
     adj = [[y - 1 for y in graph.neighbors(x)] for x in range(1, 37)]
-    assert canonical_labeling(adj).group.order() == 1440
+    assert canonical_labeling(to_matrix(adj)).group.order() == 1440
 
 
 def test_isomorphic_implies_same_spectrum_and_order():
@@ -165,7 +166,7 @@ def test_sylvester_graph_labeled_once_per_process(monkeypatch, theta8, gamma_rc_
     isomorphism._sylvester_labeling.cache_clear()
     labeled = []
     monkeypatch.setattr(isomorphism, "canonical_labeling",
-                        lambda adj: labeled.append(len(adj)) or canonical_labeling(adj))
+                        lambda matrix: labeled.append(len(matrix)) or canonical_labeling(matrix))
     first = is_sylvester_design(theta8)
     assert len(labeled) == 2  # the design's graph, then the Sylvester graph
     assert is_sylvester_design(theta8) == first
@@ -198,7 +199,8 @@ def test_five_regular_graph_with_triangles_is_not_sylvester():
     assert all(len(n) == 5 for n in adj)
     sigma = sylvester_graph()
     sigma_adj = [[y - 1 for y in sigma.neighbors(x)] for x in range(1, 37)]
-    assert canonical_labeling(adj).certificate != canonical_labeling(sigma_adj).certificate
+    assert (canonical_labeling(to_matrix(adj)).certificate
+            != canonical_labeling(to_matrix(sigma_adj)).certificate)
 
 
 def test_sylvester_witness_checked(monkeypatch, theta8):
@@ -208,8 +210,8 @@ def test_sylvester_witness_checked(monkeypatch, theta8):
 
     calls = []
 
-    def faulty(adj):
-        c = canonical_labeling(adj)
+    def faulty(matrix):
+        c = canonical_labeling(matrix)
         calls.append(c)
         if len(calls) == 1:  # the design's labeling, reversed: a wrong witness
             c = dataclasses.replace(c, labeling=tuple(reversed(c.labeling)))

@@ -10,9 +10,6 @@ import pytest
 
 import rbdesign
 
-#: asserts that only narrow a type for the checker, never fire at run time
-TYPE_NARROWING = {("cli.py", "a is not None"), ("core.py", "k is not None")}
-
 
 def test_no_runtime_asserts_in_source():
     # python -O strips asserts, so a runtime invariant must raise InternalError
@@ -21,7 +18,7 @@ def test_no_runtime_asserts_in_source():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.add((path.name, ast.unparse(node.test)))
-    assert found - TYPE_NARROWING == set()
+    assert found == set()
 
 
 #: numpy's eigendecompositions; the one expected site is the float route for A
