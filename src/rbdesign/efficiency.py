@@ -16,12 +16,14 @@ N^T N share their nonzero eigenvalues (a design and its dual share their
 non-unit efficiency factors; Patterson & Williams, Biometrika 63, 1976).
 Designs with b >= v, or with a repeated variety, use the v x v matrix.
 Faddeev-LeVerrier runs modulo enough primes to cover the coefficients'
-size, one float64 matrix product per step for all primes at once, its
-result kept in float64 as symmetric residues (|M| <= q/2 + 2).  The primes
-are as wide as keeps that product exact, up to 48 bits: 42 bits for the
-36 x 36 design matrices and 44 for the 24 x 24 ones.  The Chinese
-remainder theorem rebuilds the integers and one further prime checks
-them.  A comes from the two lowest coefficients of the reduced
+size, one float64 matrix product per step for all primes at once: the
+step's traces are read from the product's diagonal, which then takes the
+step's coefficients, and one pass reduces it to symmetric residues in
+float64 (|M| <= q/2 + 2).  The primes are as wide as keeps that step exact,
+up to 48 bits: 42 bits for the 36 x 36 design matrices and 44 for the
+24 x 24 ones.  The Chinese remainder theorem rebuilds the integers and one
+further prime checks them; the per-prime tables are built once per size
+and set of primes.  A comes from the two lowest coefficients of the reduced
 polynomial, rational factors from integer root extraction.  The
 floating-point route is one symmetric eigendecomposition: it gives the float
 A, the annealing objective and the values of the irrational factors, whose
@@ -36,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,43 +135,44 @@ def _moduli(n: int, width: int, bound: int) -> list[int]:
                         "characteristic polynomial")
 
 
-#: inverses of 1..n modulo each prime, by tuple of primes: row k-1 holds
-#: those of k; each value is replaced by a longer table, never mutated
-_INVERSES: dict[tuple[int, ...], np.ndarray] = {}
-
-
-def _inverses(n: int, primes: list[int]) -> np.ndarray:
-    """(n, P) int64 table of the inverses of 1..n modulo each of the P primes."""
-    key = tuple(primes)
-    table = _INVERSES.get(key)
-    if table is None or len(table) < n:
-        table = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)],
-                         dtype=np.int64)
-        _INVERSES[key] = table
-    return table[:n]
+@lru_cache(maxsize=64)
+def _prime_table(n: int, primes: tuple[int, ...]) -> tuple:
+    """Tables for n x n matrices modulo primes, the last the check: each prime
+    and its reciprocal per column of [M_1 | ... | M_P], the inverses of 1..n
+    (row k - 1 for k), the (n, P) flat diagonal positions, and the other
+    primes' product and CRT weights.  Built once per process, never mutated."""
+    q = np.array(primes, dtype=np.int64)
+    qf, qinv = np.repeat([q, 1 / q], n, axis=1)
+    diag = np.arange(n)[:, None] * (n * len(q) + 1) + np.arange(0, n * len(q), n)
+    for a in (qf, qinv, diag):
+        a.flags.writeable = False
+    inv = tuple(tuple(pow(k, -1, p) for p in primes) for k in range(1, n + 1))
+    prod = math.prod(primes[:-1])
+    return qf, qinv, inv, diag, prod, tuple(prod // p * pow(prod // p, -1, p) for p in primes[:-1])
 
 
 def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     """Faddeev-LeVerrier modulo each prime: residues of det(xI - C), x^n first.
 
     C is an integer-valued float64 matrix.  Each step is one float product
-    C @ [M_1 | ... | M_P] for all P primes, kept in float64 as symmetric
-    residues M - rint(M/q)*q; returns an (n + 1, P) int64 array."""
-    n, q = len(C), np.array(primes, dtype=np.int64)
-    qf, qinv = np.repeat([q, 1 / q], n, axis=1)  # per column of [M_1 | ... | M_P]
-    inv = _inverses(n, primes).tolist()
-    out = np.ones((n + 1, len(q)), dtype=np.int64)
-    diag = np.arange(n)[:, None] * (n * len(q) + 1) + np.arange(0, n * len(q), n)
-    M = np.tile(np.eye(n), len(q))
+    C @ [M_1 | ... | M_P] for all P primes.  Its diagonal gives the traces,
+    read as int64, and takes the step's coefficients; then one pass keeps
+    the whole block in float64 as symmetric residues M - rint(M/q)*q.  That
+    is exact while each product entry plus a coefficient below q stays below
+    2**53 and n entries sum below 2**63, as _charpoly's width ensures.
+    Returns an (n + 1, P) int64 array."""
+    n = len(C)
+    qf, qinv, inv, diag, *_ = _prime_table(n, tuple(primes))
+    out = np.ones((n + 1, len(primes)), dtype=np.int64)
+    M = np.tile(np.eye(n), len(primes))
     for k in range(1, n + 1):
         M = C @ M
-        M -= np.rint(M * qinv) * qf
         d = M.flat[diag]
-        # trace times 1/k in Python ints: the product of two residues
-        # overflows int64 once q > 2**31.5
-        out[k] = [-int(t) * i % p for t, i, p in zip(d.sum(axis=0).tolist(), inv[k - 1], primes)]
-        d += out[k]
-        M.flat[diag] = d - np.rint(d / q) * q
+        traces = d.astype(np.int64).sum(axis=0).tolist()  # exact integers below 2**63
+        # times 1/k in Python ints: a product of two residues passes 2**63
+        out[k] = [-t * i % p for t, i, p in zip(traces, inv[k - 1], primes)]
+        M.flat[diag] = d + out[k]
+        M -= np.rint(M * qinv) * qf
     return out
 
 
@@ -189,11 +193,13 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     if C.dtype.kind not in "iu":
         raise InternalError(f"characteristic polynomial of a non-integer {C.dtype} matrix")
     n = len(C)
-    # _charpoly_mod keeps |M| <= q/2 + 2 < 2**width (M / q is off by under 2/q),
-    # so every sum in C @ [M_1 | ... | M_P] stays below n * c_max * 2**width
-    # <= 2**53 and the float64 product is exact in any summation order
+    # _charpoly_mod keeps |M| <= q/2 + 2 (M / q is off by under 2/q), so with
+    # n * c_max < 2**b each entry of C @ [M_1 | ... | M_P] is below
+    # 2**(b + width - 1) + 2**(b + 1) <= 2**52 + 2**(b + 1): with a coefficient
+    # below q added to the diagonal it stays in float64's exact range, 2**53.
+    # The int64 trace of n such entries needs n * n * c_max < 2**(63 - width)
     c_max = max(int(C.max()), -int(C.min()))
-    width = min(_PRIME_BITS, 53 - (n * c_max).bit_length())
+    width = min(_PRIME_BITS, 53 - (n * c_max).bit_length(), 63 - (n * n * c_max).bit_length())
     if width < 2:
         raise InternalError(f"entries up to {c_max} are too large for exact float products")
     C = C.astype(np.int64)
@@ -205,15 +211,13 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
         bound = (1 + int(row_sums.max())) ** n
     primes = _moduli(n, width, bound)
     residues = _charpoly_mod(C.astype(np.float64), primes)
-    *used, check = primes
-    prod = math.prod(used)
-    weights = [prod // p * pow(prod // p, -1, p) for p in used]
+    *_, prod, weights = _prime_table(n, tuple(primes))
     coeffs = []
     for row in residues[:, :-1].tolist():
         x = sum(a * w for a, w in zip(row, weights)) % prod
         coeffs.append(x - prod if 2 * x > prod else x)
-    if [c % check for c in coeffs] != residues[:, -1].tolist():
-        raise InternalError(f"characteristic polynomial fails its check modulo {check}")
+    if [c % primes[-1] for c in coeffs] != residues[:, -1].tolist():
+        raise InternalError(f"characteristic polynomial fails its check modulo {primes[-1]}")
     return tuple(coeffs)
 
 

@@ -82,6 +82,11 @@ def same_spectrum(d1, d2) -> bool:
     return scaled_polynomial(d1) == scaled_polynomial(d2)
 
 
+def _same_rows(m1: np.ndarray, m2: np.ndarray) -> bool:
+    """Equal multisets of sorted rows, which no variety permutation changes."""
+    return sorted(np.sort(m1, axis=1).tolist()) == sorted(np.sort(m2, axis=1).tolist())
+
+
 def are_isomorphic(d1, d2) -> bool:
     """Isomorphism test with cheap invariant rejection before canonization.
 
@@ -90,10 +95,7 @@ def are_isomorphic(d1, d2) -> bool:
     compared."""
     if design_parameters(d1) != design_parameters(d2):
         return False
-    m1, m2 = concurrence_matrix(d1), concurrence_matrix(d2)
-    rows1 = sorted(tuple(sorted(row)) for row in m1.tolist())
-    rows2 = sorted(tuple(sorted(row)) for row in m2.tolist())
-    if rows1 != rows2:
+    if not _same_rows(concurrence_matrix(d1), concurrence_matrix(d2)):
         return False
     if not same_spectrum(d1, d2):
         return False
@@ -155,11 +157,9 @@ def concurrence_equivalent(d1, d2) -> bool:
     """Is there a variety permutation taking one concurrence matrix to the
     other?  Encodes each matrix as a graph with an auxiliary vertex per
     concurrent pair, colored by the concurrence count, and compares
-    canonical certificates."""
+    canonical certificates once the concurrence rows agree as multisets."""
     m1, m2 = concurrence_matrix(d1), concurrence_matrix(d2)
-    if m1.shape != m2.shape:
-        return False
-    if sorted(np.unique(m1).tolist()) != sorted(np.unique(m2).tolist()):
+    if not _same_rows(m1, m2):
         return False
 
     def encode(lam):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rbdesign import (
     BlockDesign,
+    DesignError,
     InvalidDesignError,
     ParseError,
     ResolvableDesign,
@@ -309,6 +310,33 @@ def random_designs(draw):
 @given(random_designs())
 def test_round_trip_property(design):
     assert validate(design) == []
+    assert read_design(write_design(design)) == design
+
+
+@st.composite
+def _near_design_texts(draw):
+    """Replicates of b or b + 1 lines of k integers in 1..kb (some written
+    with a sign or a leading zero), blank-line separated; one line in eight
+    is arbitrary text or a comment."""
+    k, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    member = st.tuples(st.sampled_from(["", "", "+", "0"]), st.integers(1, k * b))
+    block = st.lists(member.map(lambda m: m[0] + str(m[1])), min_size=k, max_size=k)
+    block = block.map(draw(st.sampled_from([" ", "\t"])).join)
+    noise = st.text(max_size=6) | st.text(max_size=6).map("#".__add__)
+    line = st.sampled_from([block] * 7 + [noise]).flatmap(lambda s: s)
+    reps = draw(st.lists(st.lists(line, min_size=b, max_size=b + 1), min_size=1, max_size=3))
+    return "\n\n".join("\n".join(rep) for rep in reps)
+
+
+@settings(max_examples=300)
+@given(st.text() | _near_design_texts())
+def test_read_design_raises_a_design_error_or_round_trips(text):
+    # any text either fails with one of the package's errors (the CLI's
+    # documented exit codes) or gives a design whose canonical text reads back
+    try:
+        design = read_design(text)
+    except DesignError:
+        return
     assert read_design(write_design(design)) == design
 
 

@@ -133,15 +133,29 @@ def test_charpoly_repeated_variety_takes_the_variety_side(monkeypatch):
     assert sides == [6, 4]
 
 
-def test_inverse_table_grows_by_replacement():
-    primes = [13, 11, 7]
-    small = efficiency._inverses(3, primes)
-    large = efficiency._inverses(6, primes)
-    assert efficiency._inverses(2, primes).shape == (2, 3)
-    assert small.shape == (3, 3) and large.shape == (6, 3)
+def test_prime_table_is_built_once_and_never_mutated():
+    primes = (13, 11, 7)
+    table = efficiency._prime_table(6, primes)
+    assert efficiency._prime_table(6, primes) is table
+    qf, qinv, inv, diag, prod, weights = table
+    assert len(efficiency._prime_table(2, primes)[2]) == 2
+    assert efficiency._prime_table(3, primes)[2] == inv[:3]
     k = np.arange(1, 7)[:, None]
-    assert (k * large % primes == 1).all()
-    assert (small == large[:3]).all()
+    assert np.shape(inv) == (6, 3) and (k * np.array(inv) % primes == 1).all()
+    # the CRT weights of 13 and 11 (7 is the check): 1 modulo their own prime
+    assert prod == 13 * 11
+    assert [[w % p for p in primes[:-1]] for w in weights] == [[1, 0], [0, 1]]
+    # one column of qf and qinv per column of [M_1 | M_2 | M_3], and M_p[i, i]
+    # at row i, column 6p + i
+    assert qf.tolist() == [p for p in primes for _ in range(6)]
+    assert qinv.tolist() == [1 / p for p in primes for _ in range(6)]
+    M = np.arange(6 * 18).reshape(6, 18)
+    assert M.flat[diag].tolist() == [[M[i, 6 * p + i] for p in range(3)] for i in range(6)]
+    for a in (qf, qinv, diag):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert isinstance(inv, tuple) and all(isinstance(row, tuple) for row in inv)
+    assert isinstance(weights, tuple)
 
 
 @st.composite
@@ -225,6 +239,32 @@ def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
     for C in (signed, signed + signed.T, indefinite):
         assert efficiency._charpoly(C) == _oracle_charpoly(C)
         assert calls[-1][1] == (1 + int(np.abs(C).sum(axis=1).max())) ** len(C)
+
+
+@pytest.mark.parametrize("n, c_max", [(2, 2**30), (36, 40), (1500, 1), (1500, 2**10)])
+def test_charpoly_width_keeps_the_one_pass_step_exact(monkeypatch, n, c_max):
+    # each step adds a coefficient below q to the diagonal of C @ M before
+    # its one reduction, and sums n diagonal entries in int64.  An entry is
+    # at most n * c_max * (q/2 + 2), so the width must keep that plus q below
+    # 2**53, and n times it below 2**63.  The second never binds below
+    # n = 2**10; at c_max = 1 it first binds at n = 1449.  The kernel is
+    # stubbed out: only the width is checked
+    moduli = _moduli_calls(monkeypatch)
+
+    class Stubbed(Exception):
+        pass
+
+    def stub(C, primes):
+        raise Stubbed
+
+    monkeypatch.setattr(efficiency, "_charpoly_mod", stub)
+    with pytest.raises(Stubbed):
+        efficiency._charpoly(c_max * np.eye(n, dtype=np.int64))
+    [(width, _, (q, *_))] = moduli
+    assert q < 2**width
+    assert n * c_max * (q + 4) + 2 * q < 2**54 and n * n * c_max * (q + 4) < 2**64
+    narrowed = width < min(efficiency._PRIME_BITS, 53 - (n * c_max).bit_length())
+    assert narrowed == (n > 2**10)
 
 
 def _widest_iterate(C: np.ndarray, q: int) -> int:

@@ -15,6 +15,7 @@ from rbdesign import (
     is_sylvester_design,
     same_spectrum,
 )
+from rbdesign import isomorphism
 from rbdesign.core import ResolvableDesign
 from rbdesign.canon import canonical_labeling
 from rbdesign.sylvester import sylvester_graph
@@ -136,6 +137,17 @@ def test_searched_theta4_matches_square_family_spectrum(theta4):
 
 def test_concurrence_equivalence_under_relabeling(theta4):
     assert concurrence_equivalent(theta4, _relabel(theta4, 5))
+
+
+def test_concurrence_rows_answer_before_any_labeling(monkeypatch):
+    # gamma-rc-5 and delta-rc-5 differ in their sorted concurrence rows, so
+    # neither 666-vertex bond graph is labeled
+    def refuse(*args):
+        raise AssertionError("canonical_labeling called")
+
+    monkeypatch.setattr(isomorphism, "canonical_labeling", refuse)
+    assert not concurrence_equivalent(gamma_design(5, "RC"), delta_design(5, "RC"))
+    assert not are_isomorphic(gamma_design(5, "RC"), delta_design(5, "RC"))
 
 
 def test_sylvester_design_predicate(gamma_rc_8, theta8, delta_rc_8):
