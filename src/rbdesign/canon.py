@@ -175,6 +175,7 @@ def canonical_labeling(matrix: np.ndarray, colors: Sequence[int] | None = None) 
     # and later only splits cells, so every leaf's colors are sorted
     head = ",".join(map(str, sorted(init_colors))).encode() + b";"
     autos: list[Perm] = []
+    stored: set[Perm] = set()  # autos, each kept once: a repeat adds no orbit
     first: dict = {}
     best: dict = {}
 
@@ -191,7 +192,10 @@ def canonical_labeling(matrix: np.ndarray, colors: Sequence[int] | None = None) 
                 if cert == ref["cert"]:
                     # never the identity: the path to a leaf is readable from
                     # its discrete partition, so distinct leaves differ
-                    autos.append(tuple(vertex_at[ref["lab"]].tolist()))
+                    g = tuple(vertex_at[ref["lab"]].tolist())
+                    if g not in stored:
+                        stored.add(g)
+                        autos.append(g)
                     break
             if cert > best["cert"]:
                 best["cert"] = cert

@@ -9,23 +9,34 @@ Exact route: rk * (I - (rk)^-1 Lambda) = rk*I - Lambda is an integer matrix,
 so its characteristic polynomial has integer coefficients.  With b blocks,
 Lambda = N N^T for the v x b incidence matrix N whenever N is binary (no
 variety repeated within a block, so the diagonal of N N^T is the
-replication).  The Weinstein-Aronszajn identity
-det(xI_v - (rk I_v - N N^T)) = (x - rk)^(v-b) * det(xI_b - (rk I_b - N^T N))
-then gives the polynomial from the b x b matrix when b < v, since N N^T and
-N^T N share their nonzero eigenvalues (a design and its dual share their
-non-unit efficiency factors; Patterson & Williams, Biometrika 63, 1976).
-Designs with b >= v, or with a repeated variety, use the v x v matrix.
+replication), and N N^T and N^T N share their nonzero eigenvalues (a design
+and its dual share their non-unit efficiency factors; Patterson & Williams,
+Biometrika 63, 1976).  Both sides have known eigenvectors whose span is
+invariant: 1_v on the variety side (eigenvalue 0) and, on the block side
+rk*I - N^T N, the indicators of the r replicates of a resolvable design
+(eigenvalues 0 and rk^(r-1)), or 1_b alone for any other design.  Such class
+indicators form an equitable partition (Godsil & Royle, Algebraic Graph
+Theory, 2001, 9.3): in the unimodular basis [indicators | unit vectors of
+every non-first class member] the matrix C is block triangular, and the
+non-first members carry the integer block S[i, j] = C[i, j] - C[first(i), j].
+The smaller of the two sides gives the polynomial
+x * (x - rk)^(v-1-|S|) * det(xI - S), with |S| = min(v - 1, b - q) for q
+classes.  S is not symmetric, but its eigenvalues are those of the positive
+semidefinite C less {0, rk^(q-1)}, so Maclaurin's bound (1 + tr S/|S|)^|S|
+covers its coefficients.  A design with a repeated variety uses the v x v
+matrix itself, which is diagonally dominant and so takes the same bound.
+
 Faddeev-LeVerrier runs modulo enough primes to cover the coefficients'
 size, one float64 matrix product per step for all primes at once: the
 step's traces are read from the product's diagonal, which then takes the
 step's coefficients, and one pass reduces it to symmetric residues in
 float64 (|M| <= q/2 + 2).  The primes are as wide as keeps that step exact,
-up to 48 bits: 42 bits for the 36 x 36 design matrices and 44 for the
-24 x 24 ones.  The Chinese remainder theorem rebuilds the integers and one
-further prime checks them; the per-prime tables are built once per size
-and set of primes.  A comes from the two lowest coefficients of the reduced
-polynomial, rational factors from integer root extraction.  The
-floating-point route is one symmetric eigendecomposition: it gives the float
+up to 48 bits: 42 bits for the 35 x 35 quotients of the v = 36 designs
+and 44 for the 20 x 20 ones.  The Chinese remainder theorem rebuilds the
+integers and one further prime checks them; the per-prime tables are built
+once per size and set of primes.  A comes from the two lowest coefficients
+of the reduced polynomial, rational factors from integer root extraction.
+The floating-point route is one symmetric eigendecomposition: it gives the float
 A, the annealing objective and the values of the irrational factors, whose
 multiplicities are checked against the exactly-deflated remainder (integer
 roots are sought only among divisors of the constant term, and a gcd modulo
@@ -176,23 +187,24 @@ def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     return out
 
 
-def _charpoly(C: np.ndarray) -> tuple[int, ...]:
+def _charpoly(C: np.ndarray, nonnegative: bool = False) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - C) of an integer matrix,
-    as coefficients from x^n down to x^0.
+    as coefficients from x^n down to x^0; (1,) for a 0 x 0 matrix.
 
     A bound on the |a_j| fixes how many primes _charpoly_mod needs.  In
     general |a_j| <= binom(n, j) * B^j < (1 + B)^n, with B the largest
-    absolute row sum (a bound on every eigenvalue).  A symmetric C whose
-    diagonal entries are at least their rows' absolute off-diagonal sums is
-    positive semidefinite (Gershgorin), as rk*I - Lambda and rk*I - N^T N
-    are; then a_j is +-e_j of the nonnegative eigenvalues, and Maclaurin's
-    inequality gives |a_j| <= binom(n, j) * (tr C / n)^j < (1 + tr C / n)^n.
-    The coefficients are rebuilt from their residues by the Chinese remainder
+    absolute row sum (a bound on every eigenvalue).  When the caller knows
+    that all eigenvalues are real and nonnegative (nonnegative=True), a_j is
+    +-e_j of them, and Maclaurin's inequality gives
+    |a_j| <= binom(n, j) * (tr C / n)^j < (1 + tr C / n)^n.  The
+    coefficients are rebuilt from their residues by the Chinese remainder
     theorem with symmetric residues, then checked modulo one more prime;
     non-integer input or a failed check raises InternalError."""
     if C.dtype.kind not in "iu":
         raise InternalError(f"characteristic polynomial of a non-integer {C.dtype} matrix")
     n = len(C)
+    if n == 0:
+        return (1,)
     # _charpoly_mod keeps |M| <= q/2 + 2 (M / q is off by under 2/q), so with
     # n * c_max < 2**b each entry of C @ [M_1 | ... | M_P] is below
     # 2**(b + width - 1) + 2**(b + 1) <= 2**52 + 2**(b + 1): with a coefficient
@@ -203,12 +215,10 @@ def _charpoly(C: np.ndarray) -> tuple[int, ...]:
     if width < 2:
         raise InternalError(f"entries up to {c_max} are too large for exact float products")
     C = C.astype(np.int64)
-    diag, row_sums = np.diag(C), np.abs(C).sum(axis=1)
-    if (C == C.T).all() and (2 * diag >= row_sums).all():
-        trace = int(diag.sum())
-        bound = -(-(n + trace) ** n // n ** n)  # ceil((1 + tr C / n)^n)
+    if nonnegative:
+        bound = -(-(n + int(np.trace(C))) ** n // n ** n)  # ceil((1 + tr C / n)^n)
     else:
-        bound = (1 + int(row_sums.max())) ** n
+        bound = (1 + int(np.abs(C).sum(axis=1).max())) ** n
     primes = _moduli(n, width, bound)
     residues = _charpoly_mod(C.astype(np.float64), primes)
     *_, prod, weights = _prime_table(n, tuple(primes))
@@ -234,20 +244,33 @@ def _times_power(coeffs: tuple[int, ...], c: int, m: int) -> tuple[int, ...]:
 def characteristic_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[int, ...]:
     """Characteristic polynomial of rk*I - Lambda, exact integer coefficients.
 
-    For the v x b incidence matrix N of a design with fewer blocks than
-    varieties (b < v) and no variety repeated within a block (N binary, so
-    Lambda = N N^T), this is (x - rk)^(v-b) times the characteristic
-    polynomial of the b x b matrix rk*I - N^T N, by the Weinstein-Aronszajn
-    identity.  Otherwise it is computed from the v x v matrix itself."""
+    For a v x b incidence matrix N with no variety repeated within a block,
+    this is x * (x - rk)^(v-1-|S|) * det(xI - S), where S is the quotient of
+    the smaller side by its class indicators: rk*I - N N^T modulo 1_v
+    (|S| = v - 1), or rk*I - N^T N modulo the r replicate indicators of a
+    resolvable design or modulo 1_b of any other (|S| = b - r or b - 1).
+    S[i, j] = C[i, j] - C[first(i), j] over the non-first class members, and
+    its coefficients take the trace bound (1 + tr S/|S|)^|S|.  A design
+    with a repeated variety takes the v x v matrix itself."""
     v, r, k = design_parameters(design)
     n = _incidence(v, valid_blocks(design))
     b, rk = n.shape[1], r * k
-    if b < v and n.max() <= 1:
-        small = _charpoly(rk * np.eye(b, dtype=np.int64) - (n.T @ n).astype(np.int64))
-        return _times_power(small, rk, v - b)
-    lam = (n @ n.T).astype(np.int64)
-    np.fill_diagonal(lam, r)
-    return _charpoly(rk * np.eye(v, dtype=np.int64) - lam)
+    if n.max() > 1:
+        # symmetric, and each row's off-diagonal sum rk - sum_b N_ib^2 is at
+        # most the diagonal rk - r: positive semidefinite by Gershgorin
+        lam = (n @ n.T).astype(np.int64)
+        np.fill_diagonal(lam, r)
+        return _charpoly(rk * np.eye(v, dtype=np.int64) - lam, nonnegative=True)
+    q = design.r if isinstance(design, ResolvableDesign) else 1
+    if b - q < v - 1:
+        n, classes = n.T, np.arange(b).reshape(q, b // q)
+    else:
+        classes = np.arange(v).reshape(1, v)
+    C = rk * np.eye(len(n), dtype=np.int64) - (n @ n.T).astype(np.int64)
+    rest = classes[:, 1:].ravel()
+    first = np.repeat(classes[:, 0], classes.shape[1] - 1)
+    S = (C[rest] - C[first])[:, rest]
+    return _times_power(_charpoly(S, nonnegative=True), rk, v - 1 - len(S)) + (0,)
 
 
 def scaled_polynomial(design: ResolvableDesign | BlockDesign) -> tuple[Fraction, ...]:

@@ -262,11 +262,12 @@ def _oracle_group_order(gens, n):
 
 
 def _assert_group_matches_oracle(adj, colors, result):
-    """Every stored permutation is an automorphism, and together they
-    generate exactly group.order() elements."""
+    """Every stored permutation is an automorphism, stored once, and
+    together they generate exactly group.order() elements."""
     n = len(adj)
     matrix = to_matrix(adj)
     gens = result.group.generators()
+    assert len(set(gens)) == len(gens)
     for g in gens:
         assert sorted(g) == list(range(n))
         assert (matrix[np.ix_(g, g)] == matrix).all()

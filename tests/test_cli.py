@@ -6,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbdesign
 from rbdesign import gamma_design, read_design, validate, write_design
 from rbdesign.cli import run
+from rbdesign.search import random_resolvable
 
 
 def invoke(*argv):
@@ -139,19 +143,21 @@ def _charpoly_shapes(monkeypatch, name):
 
     calls = []
     charpoly = efficiency._charpoly
-    monkeypatch.setattr(efficiency, "_charpoly", lambda c: calls.append(c.shape) or charpoly(c))
+    monkeypatch.setattr(efficiency, "_charpoly",
+                        lambda c, **kw: calls.append(c.shape) or charpoly(c, **kw))
     assert invoke("evaluate", name)[0] == 0
     return calls
 
 
 def test_evaluate_computes_one_characteristic_polynomial(monkeypatch):
-    # r = 5: the 30 blocks are fewer than the 36 varieties
-    assert _charpoly_shapes(monkeypatch, "gamma-rc-5") == [(30, 30)]
+    # r = 5: the 30 blocks modulo the 5 replicate indicators leave 25 < 35
+    assert _charpoly_shapes(monkeypatch, "gamma-rc-5") == [(25, 25)]
 
 
 def test_evaluate_eight_replicates_uses_the_variety_side(monkeypatch):
-    # r = 8: 48 blocks, so the 36 x 36 matrix is the smaller side
-    assert _charpoly_shapes(monkeypatch, "theta-8") == [(36, 36)]
+    # r = 8: 48 blocks modulo 8 indicators leave 40, so the variety side
+    # modulo 1_v (35 x 35) is the smaller
+    assert _charpoly_shapes(monkeypatch, "theta-8") == [(35, 35)]
 
 
 def test_evaluate_kv_format_and_precision():
@@ -286,6 +292,40 @@ def test_output_determinism():
     first = invoke("evaluate", "delta-rc-4")
     second = invoke("evaluate", "delta-rc-4")
     assert first == second
+
+
+@st.composite
+def _design_files(draw):
+    """write_design text of a random resolvable design (v <= 12, k | v,
+    r <= 4): intact, with one entry replaced by a value in -1..v+1, or with
+    one block dropped."""
+    k = draw(st.integers(1, 12))
+    v, r = k * draw(st.integers(1, 12 // k)), draw(st.integers(1, 4))
+    design = random_resolvable(v, k, r, np.random.default_rng(draw(st.integers(0, 2**16))))
+    lines = write_design(design).splitlines()
+    blocks = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    fault = draw(st.sampled_from(["none", "entry", "drop"]))
+    if fault == "entry":
+        i = draw(st.sampled_from(blocks))
+        members = lines[i].split()
+        members[draw(st.integers(0, k - 1))] = str(draw(st.integers(-1, v + 1)))
+        lines[i] = " ".join(members)
+    elif fault == "drop":
+        del lines[draw(st.sampled_from(blocks))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(_design_files())
+def test_fuzzed_design_files_end_in_an_exit_code(tmp_path_factory, text):
+    # every verb that reads one design ends in a documented exit code, never
+    # an exception, and prints the same bytes when run again
+    path = tmp_path_factory.getbasetemp() / "fuzzed-design.txt"
+    path.write_text(text)
+    for verb in ("evaluate", "robustness", "dual", "autorder"):
+        code, out = invoke(verb, str(path))
+        assert code in range(5), verb
+        assert invoke(verb, str(path)) == (code, out), verb
 
 
 def test_search_verb_deterministic_and_seed_echoed():

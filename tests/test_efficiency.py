@@ -28,7 +28,7 @@ from rbdesign import (
     round_decimal,
     square_lattice_bound,
 )
-from rbdesign import cli, efficiency
+from rbdesign import cli, core, efficiency
 from rbdesign.efficiency import characteristic_polynomial
 from rbdesign.search import random_resolvable
 from rbdesign.sylvester import galaxy, sylvester_graph
@@ -94,13 +94,16 @@ def _oracle_information(C: np.ndarray) -> tuple[int, ...]:
 def _charpoly_sides(monkeypatch) -> list[int]:
     """Spy on _charpoly: the list it returns gets the size of each matrix."""
     sides, charpoly = [], efficiency._charpoly
-    monkeypatch.setattr(efficiency, "_charpoly", lambda c: sides.append(len(c)) or charpoly(c))
+    monkeypatch.setattr(efficiency, "_charpoly",
+                        lambda c, **kw: sides.append(len(c)) or charpoly(c, **kw))
     return sides
 
 
 def test_charpoly_matches_oracle_on_catalog_and_duals(catalog_and_duals):
-    # the catalog takes the block side (b = 6r < 36) up to r = 5, the duals
-    # (b = 36 > v = 6r) and r >= 6 the variety side
+    # characteristic_polynomial takes the smaller quotient: for the catalog
+    # the block side modulo the r replicate indicators (5r < 35) up to r = 6
+    # and the variety side modulo 1_v beyond; for the duals (v = 6r, b = 36)
+    # the variety side up to r = 6 and the block side modulo 1_b beyond
     for name, d in catalog_and_duals:
         C = _information(d)
         expected = _oracle_information(C)
@@ -110,13 +113,14 @@ def test_charpoly_matches_oracle_on_catalog_and_duals(catalog_and_duals):
 
 def test_charpoly_matches_oracle_on_catalog_deletions(monkeypatch):
     # every single-replicate deletion robustness evaluates: the block side
-    # (b = 6(r-1) < 36) for r <= 6, the variety side beyond
+    # modulo the r - 1 replicate indicators (5(r-1) < 35) for r <= 7, the
+    # variety side modulo 1_v beyond
     sides = _charpoly_sides(monkeypatch)
     for e in catalog():
         for i in range(e.design.r):
             d = e.design.without_replicate(i)
             assert characteristic_polynomial(d) == _oracle_information(_information(d)), d.label
-            assert sides[-1] == min(36, 6 * (e.design.r - 1)), d.label
+            assert sides[-1] == min(35, 5 * (e.design.r - 1)), d.label
 
 
 def test_charpoly_repeated_variety_takes_the_variety_side(monkeypatch):
@@ -127,10 +131,55 @@ def test_charpoly_repeated_variety_takes_the_variety_side(monkeypatch):
     sides = _charpoly_sides(monkeypatch)
     assert characteristic_polynomial(d) == _oracle_charpoly(_information(d))
     assert sides == [6]
-    # the same blocks without repeats take the block side
+    # the same blocks without repeats take the block side modulo 1_b
     d = BlockDesign.from_blocks(6, [(1, 2, 3), (1, 2, 3), (4, 5, 6), (4, 5, 6)])
     assert characteristic_polynomial(d) == _oracle_charpoly(_information(d))
-    assert sides == [6, 4]
+    assert sides == [6, 3]
+
+
+def _with_repeat(d: ResolvableDesign) -> BlockDesign:
+    """The blocks of d (r, k >= 2) with the first block's first variety x
+    replaced by its second, y, and y replaced by x in the next block holding
+    y: y then repeats within the first block, and every replication and
+    block size stays."""
+    blocks = [list(b) for b in d.blocks()]
+    x, y = blocks[0][:2]
+    other = next(b for b in blocks[1:] if y in b)
+    blocks[0][0], other[other.index(y)] = y, x
+    return BlockDesign.from_blocks(d.v, blocks)
+
+
+@st.composite
+def _quotient_designs(draw):
+    """A random resolvable design (k | v, both up to 6 blocks; r <= 6), its
+    dual, or, for r, k >= 2, its blocks with a repeated variety."""
+    k, m, r = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = random_resolvable(k * m, k, r, np.random.default_rng(draw(st.integers(0, 2**20))))
+    forms = [d, dual(d)] + ([_with_repeat(d)] if r >= 2 and k >= 2 else [])
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_quotient_designs())
+@example(random_resolvable(16, 16, 3, np.random.default_rng(0)))  # k = v: S is empty
+@example(random_resolvable(8, 1, 3, np.random.default_rng(0)))  # k = 1
+@example(random_resolvable(12, 4, 1, np.random.default_rng(0)))  # r = 1
+@example(random_resolvable(2, 1, 3, np.random.default_rng(0)))  # v = 2
+@example(random_resolvable(2, 2, 3, np.random.default_rng(0)))
+@example(dual(random_resolvable(12, 3, 4, np.random.default_rng(0))))  # q = 1
+@example(_with_repeat(random_resolvable(12, 3, 4, np.random.default_rng(0))))
+def test_quotient_charpoly_matches_oracle(design):
+    # |S| = min(v - 1, b - q) for a binary design with q classes on its
+    # block side (the replicates of a resolvable design, else one), and the
+    # full v x v matrix for a repeated variety
+    v, _, _ = efficiency.design_parameters(design)
+    blocks = core._blocks(design)
+    q = design.r if isinstance(design, ResolvableDesign) else 1
+    repeated = any(len(set(b)) < len(b) for b in blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        sides = _charpoly_sides(mp)
+        assert characteristic_polynomial(design) == _oracle_charpoly(_information(design))
+    assert sides == [v if repeated else min(v - 1, len(blocks) - q)]
 
 
 def test_prime_table_is_built_once_and_never_mutated():
@@ -219,13 +268,14 @@ def test_charpoly_exact_for_large_entries(monkeypatch, n):
 
 def test_charpoly_psd_bound_on_design_matrices(monkeypatch):
     # rk*I - Lambda of gamma-rc-8 (36 x 36, trace 36 * 40) is positive
-    # semidefinite: (1 + 40)^36 needs 5 primes of 42 bits and the check,
-    # where the row sum bound (1 + 80)^36 would take 6 and the check
+    # semidefinite, and its 35 x 35 quotient modulo 1_v keeps the trace and
+    # every eigenvalue but the 0: (1 + 1440/35)^35 needs 5 primes of 42 bits
+    # and the check; the quotient's row sum bound (1 + 51)^35 is larger
     calls = _moduli_calls(monkeypatch)
     d = gamma_design(8, "RC")
     assert characteristic_polynomial(d) == _oracle_information(_information(d))
     [(width, bound, primes)] = calls
-    assert width == 42 and bound == 41**36 and len(primes) == 6
+    assert width == 42 and bound == -(-1475**35 // 35**35) and len(primes) == 6
 
 
 def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
