@@ -42,7 +42,7 @@ from .core import (
     resolution,
     write_design,
 )
-from .families import catalog, catalog_entry, delta_design, gamma_design, is_semi_latin
+from .families import VARIANTS, catalog, catalog_entry, delta_design, gamma_design, is_semi_latin
 from .sylvester import sylvester_graph
 
 EXIT_FALSE = 1
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="construct a family design")
     p.add_argument("--family", choices=("gamma", "delta"), required=True)
-    p.add_argument("--variant", choices=("plain", "R", "C", "RC"), default="plain")
+    p.add_argument("--variant", choices=VARIANTS, default="plain")
     p.add_argument("--r", type=int, required=True, dest="r")
     p.add_argument("--out", help="write design text to a file instead of stdout")
     p.set_defaults(func=_cmd_generate)

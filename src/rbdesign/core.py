@@ -260,58 +260,56 @@ def dual(design: ResolvableDesign | BlockDesign) -> BlockDesign:
     return BlockDesign.from_blocks(len(blocks), dual_blocks, label=label)
 
 
+def _exact_covers(universe, options, covered=frozenset()):
+    """Yield, lazily, every list of option keys that covers each element of
+    universe outside covered exactly once.
+
+    Knuth's Algorithm X without the dancing links: branch on the first
+    uncovered element x of universe, taking in turn each (key, members) that
+    options(x, covered) yields, the options that hold x and avoid covered.
+    """
+    x = next((e for e in universe if e not in covered), None)
+    if x is None:
+        yield []
+        return
+    for key, members in options(x, covered):
+        for rest in _exact_covers(universe, options, covered | frozenset(members)):
+            yield [key, *rest]
+
+
 def resolution(design: BlockDesign) -> tuple[tuple[Block, ...], ...] | None:
     """Group the blocks into parallel classes, or None if impossible.
 
     A parallel class is a set of blocks covering every variety exactly
-    once.  Search is exact (backtracking over classes through the
-    lowest-indexed unassigned block), so None is a proof of
-    non-resolvability.
+    once, so a block that repeats a variety is in none.  Search is exact
+    (``_exact_covers`` of the blocks by classes through the lowest-indexed
+    unassigned block, each an exact cover of the varieties by unassigned
+    blocks), so None is a proof of non-resolvability.
     """
     try:
         k = design.block_size()
         design.replication()
     except ShapeMismatchError:
         return None
-    if design.v % k != 0 or not design.blocks:
+    blocks = design.blocks
+    if design.v % k != 0 or not blocks or any(len(set(block)) < k for block in blocks):
         return None
 
-    blocks = list(enumerate(design.blocks))
+    def classes(first, assigned):
+        """Parallel classes through block first, generated one at a time."""
+        pool = [(i, block) for i, block in enumerate(blocks) if i not in assigned]
 
-    def classes_through(first, pool):
-        """Yield parallel classes containing block `first` drawn from pool."""
-        per_class = design.v // k
+        def fitting(x, covered):
+            return ((i, block) for i, block in pool if x in block and covered.isdisjoint(block))
 
-        def extend(chosen, covered):
-            if len(chosen) == per_class:
-                yield list(chosen)
-                return
-            low = min(x for x in range(1, design.v + 1) if x not in covered)
-            for idx, blk in pool:
-                if low in blk and not covered.intersection(blk):
-                    chosen.append((idx, blk))
-                    yield from extend(chosen, covered | set(blk))
-                    chosen.pop()
+        for rest in _exact_covers(range(1, design.v + 1), fitting, frozenset(blocks[first])):
+            cls = (first, *rest)
+            yield cls, cls
 
-        yield from extend([first], set(first[1]))
-
-    def solve(pool):
-        if not pool:
-            return []
-        first = pool[0]
-        rest_pool = pool[1:]
-        for cls in classes_through(first, rest_pool):
-            used = {idx for idx, _ in cls}
-            remaining = [item for item in pool if item[0] not in used]
-            sub = solve(remaining)
-            if sub is not None:
-                return [cls] + sub
-        return None
-
-    found = solve(blocks)
+    found = next(_exact_covers(range(len(blocks)), classes), None)
     if found is None:
         return None
-    return tuple(tuple(blk for _, blk in cls) for cls in found)
+    return tuple(tuple(blocks[i] for i in cls) for cls in found)
 
 
 def read_design(text: str) -> ResolvableDesign:

@@ -32,9 +32,6 @@ from .core import (
 )
 from .sylvester import galaxy, sylvester_graph
 
-VARIANTS = ("plain", "R", "C", "RC")
-_TRIVIAL_REPLICATES = {"plain": 0, "R": 1, "C": 1, "RC": 2}  # prepended rows/columns
-
 LatinSquare6 = tuple[tuple[int, ...], ...]  # 6x6 grid of symbols 1..6
 
 
@@ -48,23 +45,23 @@ def columns_replicate() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(j, 37, 6)) for j in range(1, 7))
 
 
+#: the trivial replicates each variant prepends to the family's units
+_PREFIXES = {"plain": (), "R": (rows_replicate,), "C": (columns_replicate,),
+             "RC": (columns_replicate, rows_replicate)}
+VARIANTS = tuple(_PREFIXES)
+
+
 def _family_design(name: str, units, r: int, variant: str, max_units: int) -> ResolvableDesign:
     if variant not in VARIANTS:
         raise ShapeMismatchError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    off = _TRIVIAL_REPLICATES[variant]
+    off = len(_PREFIXES[variant])
     n_units = r - off
     if n_units < 0 or n_units > max_units:
         raise ShapeMismatchError(
             f"{name} variant {variant} supports r in "
             f"{range(off, max_units + off + 1)}, got r={r}"
         )
-    prefix = {
-        "plain": (),
-        "R": (rows_replicate(),),
-        "C": (columns_replicate(),),
-        "RC": (columns_replicate(), rows_replicate()),
-    }[variant]
-    reps = prefix + tuple(units[i] for i in range(n_units))
+    reps = tuple(trivial() for trivial in _PREFIXES[variant]) + tuple(units[:n_units])
     suffix = "" if variant == "plain" else f"-{variant.lower()}"
     return ResolvableDesign.from_replicates(reps, v=36, k=6, label=f"{name}{suffix}-{r}")
 
@@ -219,7 +216,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
         "cached output of this package's annealer (see refdata for the config)"))
     for family, ctor in (("gamma", gamma_design), ("delta", delta_design)):
         for variant in VARIANTS:
-            hi = 6 + _TRIVIAL_REPLICATES[variant]
+            hi = 6 + len(_PREFIXES[variant])
             for r in range(2, hi + 1):
                 if variant == "RC" and r == 8:
                     continue  # the embedded copies cover rc-8

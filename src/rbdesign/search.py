@@ -110,15 +110,14 @@ class Move:
 
 
 class SearchState:
-    """Mutable annealing state of a connected design: blocks (1-based, and
-    0-based in _blocks0), objective and pp = (P, P^2) with P = C^+; accept
-    rebuilds P^2 from P.  Raises DisconnectedDesignError for a disconnected
-    design."""
+    """Mutable annealing state of a connected design: blocks, an (r, v/k, k)
+    array of 0-based varieties, objective and pp = (P, P^2) with P = C^+;
+    accept rebuilds P^2 from P.  Raises DisconnectedDesignError for a
+    disconnected design."""
 
     def __init__(self, design: ResolvableDesign):
         self.v, self.k, self.r = design.v, design.k, design.r
-        self.blocks = [[list(b) for b in rep] for rep in design.replicates]
-        self._blocks0 = np.array(self.blocks) - 1  # 0-based, kept in step by _swap
+        self.blocks = np.array(design.replicates) - 1
         lam = concurrence_matrix(design)
         self.objective = _reciprocal_sum(lam, self.r, self.k)
         if not math.isfinite(self.objective):
@@ -132,14 +131,13 @@ class SearchState:
         self._scored = None  # (move, idx, K^-1) of the last score
 
     def design(self, label: str = "") -> ResolvableDesign:
-        return ResolvableDesign.from_replicates(self.blocks, v=self.v, k=self.k, label=label)
+        return ResolvableDesign.from_replicates(self.blocks + 1, v=self.v, k=self.k, label=label)
 
     def _swap(self, mv: Move) -> None:
         """Swap the two varieties."""
-        for blocks in self.blocks, self._blocks0:
-            rep = blocks[mv.replicate]
-            blk_a, blk_b = rep[mv.block_a], rep[mv.block_b]
-            blk_a[mv.pos_a], blk_b[mv.pos_b] = blk_b[mv.pos_b], blk_a[mv.pos_a]
+        rep = self.blocks[mv.replicate]
+        a, b = (mv.block_a, mv.pos_a), (mv.block_b, mv.pos_b)
+        rep[a], rep[b] = rep[b], rep[a]
 
     def _rank2(self, mv: Move):
         """The swap as Lambda += U S U^T, S = [[2, 1], [1, 0]], U = [u, g],
@@ -150,7 +148,7 @@ class SearchState:
         delta = -tr(K^-1 U^T P^2 U).  If K is singular the swap disconnects
         (u and g are orthogonal to the all-ones vector): K^-1 is None and
         delta is +inf."""
-        idx = self._blocks0[mv.replicate].take(self._at[mv.block_a, mv.pos_a, mv.block_b, mv.pos_b])
+        idx = self.blocks[mv.replicate].take(self._at[mv.block_a, mv.pos_a, mv.block_b, mv.pos_b])
         sub = self.pp.take(idx, 1).take(idx, 2).reshape(2, -1)
         (p, q, _, s), (x, y, _, z) = (sub @ self._uu).tolist()
         q, s = q - self.r * self.k, s + 2 * self.r * self.k
@@ -199,7 +197,7 @@ class SearchState:
         forms u^T M u, u^T M g and g^T M g are read from M, M N and N^T M N,
         N the replicate's v x n_blocks incidence matrix."""
         ba, pa, bb, pb = self._moves[:, start:]
-        blocks = self._blocks0[ri]
+        blocks = self.blocks[ri]
         n = np.zeros((self.v, len(blocks)))
         n[blocks, np.arange(len(blocks))[:, None]] = 1.0
         mn = self.pp @ n
@@ -330,7 +328,7 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
             state = SearchState(random_resolvable(config.v, config.k, config.r, rng))
         except DisconnectedDesignError:
             pass
-    best_blocks = [list(map(list, rep)) for rep in state.blocks]
+    best_blocks = state.blocks.copy()
     best_f = state.objective
     evals = 0
     trace = []
@@ -349,12 +347,12 @@ def _run_restart(config: SearchConfig, index: int, deadline: float | None) -> Re
                 state.accept(mv)
                 if state.objective < best_f - _TIE:
                     best_f = state.objective
-                    best_blocks = [list(map(list, rep)) for rep in state.blocks]
+                    best_blocks = state.blocks.copy()
         trace.append(TracePoint(index, stage, temperature, best_f))
         temperature *= config.cooling_rate
         stage += 1
     best_state = SearchState(
-        ResolvableDesign.from_replicates(best_blocks, v=config.v, k=config.k)
+        ResolvableDesign.from_replicates(best_blocks + 1, v=config.v, k=config.k)
     )
     evals += _polish(best_state, deadline)
     label = f"search r={config.r} seed={config.seed} restart={index}"

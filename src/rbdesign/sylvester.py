@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .core import InternalError, ShapeMismatchError
+from .core import InternalError, ShapeMismatchError, _exact_covers
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,11 +46,6 @@ class OneFactorization:
     def factor_set(self) -> frozenset[OneFactor]:
         return frozenset(self.factors)
 
-    def __str__(self) -> str:
-        return self.label + ": " + " || ".join(
-            "|".join(f"{a}{b}" for a, b in f) for f in self.factors
-        )
-
 
 @lru_cache(maxsize=1)
 def one_factors_duads() -> tuple[Duad, ...]:
@@ -59,22 +54,13 @@ def one_factors_duads() -> tuple[Duad, ...]:
 
 @lru_cache(maxsize=1)
 def one_factors() -> tuple[OneFactor, ...]:
-    """All 15 perfect matchings of K6, each as a sorted triple of duads."""
-    out = []
+    """All 15 perfect matchings of K6, each as a sorted triple of duads: the
+    exact covers of the points by duads through the lowest uncovered point
+    (``core._exact_covers``)."""
+    def duads(a: int, covered: frozenset[int]):
+        return (((a, b), (a, b)) for b in POINTS if b != a and b not in covered)
 
-    def grow(remaining: tuple[int, ...], chosen: list[Duad]):
-        if not remaining:
-            out.append(tuple(chosen))
-            return
-        a = remaining[0]
-        for b in remaining[1:]:
-            rest = tuple(x for x in remaining if x not in (a, b))
-            chosen.append((a, b))
-            grow(rest, chosen)
-            chosen.pop()
-
-    grow(POINTS, [])
-    return tuple(sorted(out))
+    return tuple(sorted(tuple(f) for f in _exact_covers(POINTS, duads)))
 
 
 def _factor(text: str) -> OneFactor:
@@ -100,25 +86,15 @@ _CANONICAL_ROWS = (
 def enumerate_one_factorizations() -> tuple[OneFactorization, ...]:
     """Exhaustively enumerate the one-factorizations of K6 (exactly six).
 
-    Backtracking over one-factors through the lowest uncovered edge; the
-    result is returned in the canonical d1..d6 order, and it is an error if
-    the enumeration disagrees with that canonical set.
+    The exact covers of the edges by one-factors through the lowest
+    uncovered edge (``core._exact_covers``); the result is returned in the
+    canonical d1..d6 order, and it is an error if the enumeration disagrees
+    with that canonical set.
     """
-    edges = one_factors_duads()
-    found: set[tuple[OneFactor, ...]] = set()
+    def factors(edge: Duad, covered: frozenset[Duad]):
+        return ((f, f) for f in one_factors() if edge in f and covered.isdisjoint(f))
 
-    def grow(chosen: list[OneFactor], covered: set[Duad]):
-        if len(chosen) == 5:
-            found.add(tuple(sorted(chosen)))
-            return
-        low = next(e for e in edges if e not in covered)
-        for f in one_factors():
-            if low in f and not covered.intersection(f):
-                chosen.append(f)
-                grow(chosen, covered | set(f))
-                chosen.pop()
-
-    grow([], set())
+    found = {tuple(sorted(c)) for c in _exact_covers(one_factors_duads(), factors)}
     canonical = tuple(
         OneFactorization(label, tuple(sorted(_factor(t) for t in row)))
         for label, row in _CANONICAL_ROWS

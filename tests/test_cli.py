@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and output determinism."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -261,6 +262,20 @@ def test_dual_flat_output_when_not_resolvable():
     assert "# resolvable: no" in out
     blocks = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert len(blocks) == 36
+
+
+#: sha256 over "NAME CODE\nSTDOUT" of `rbdesign dual NAME` for the 50 catalog
+#: names in catalog order: which duals resolve, and into which classes
+DUAL_CATALOG_SHA256 = "9b778b399808113f889e70e8327dbb585d990e6e5aabddf9a683892f07f1d56a"
+
+
+def test_dual_of_every_catalog_design_is_pinned():
+    digest = hashlib.sha256()
+    for entry in rbdesign.catalog():
+        code, out = invoke("dual", entry.name)
+        digest.update(f"{entry.name} {code}\n{out}".encode())
+    assert len(rbdesign.catalog()) == 50
+    assert digest.hexdigest() == DUAL_CATALOG_SHA256
 
 
 def test_catalog_listing():

@@ -21,6 +21,7 @@ from rbdesign import (
     validate,
     write_design,
 )
+from rbdesign.core import _exact_covers
 from rbdesign.families import columns_replicate, rows_replicate
 from rbdesign.search import random_resolvable
 
@@ -391,3 +392,75 @@ def test_resolution_none_for_two_triangles():
 def test_resolution_none_for_nonuniform_blocks():
     bd = BlockDesign.from_blocks(4, [(1, 2), (3, 4), (1, 2, 3)])
     assert resolution(bd) is None
+
+
+def _oracle_resolutions(bd):
+    """Every resolution, each as a sorted tuple of sorted classes of blocks,
+    without backtracking: the (v/k)-subsets of block indices that partition
+    1..v, then every choice of b/(v/k) of them that partitions the blocks."""
+    per_class = bd.v // len(bd.blocks[0])
+    b = len(bd.blocks)
+    classes = [c for c in itertools.combinations(range(b), per_class)
+               if sorted(x for i in c for x in bd.blocks[i]) == list(range(1, bd.v + 1))]
+    return {tuple(sorted(tuple(sorted(bd.blocks[i] for i in c)) for c in choice))
+            for choice in itertools.combinations(classes, b // per_class)
+            if sorted(i for c in choice for i in c) == list(range(b))}
+
+
+#: (v, k, r) small enough for the oracle; k = 1 and k = v included
+_RESOLUTION_SHAPES = [(2, 1, 3), (3, 1, 2), (3, 3, 3), (4, 2, 2), (4, 2, 3), (6, 2, 3),
+                      (6, 3, 3), (6, 3, 4), (8, 2, 3), (8, 4, 3), (9, 3, 3)]
+
+
+@st.composite
+def _block_designs(draw):
+    """A resolvable design from per-replicate permutations, given as its
+    dual, as its blocks shuffled, or shuffled after swapping x and y between
+    two replicates (x -> y in one block of one, y -> x in one block of the
+    other), which keeps block size and replication uniform.  Replicates that
+    repeat a partition give repeated blocks."""
+    v, k, r = draw(st.sampled_from(_RESOLUTION_SHAPES))
+    reps = [draw(st.permutations(range(1, v + 1))) for _ in range(r)]
+    reps = [[list(p[i:i + k]) for i in range(0, v, k)] for p in reps]
+    kind = draw(st.sampled_from(["swapped", "dual", "shuffled"]))
+    if kind == "dual":
+        return dual(ResolvableDesign.from_replicates(reps, v=v, k=k))
+    if kind == "swapped" and k < v:
+        i, j = draw(st.sampled_from(list(itertools.permutations(range(r), 2))))
+        block_a = draw(st.sampled_from(reps[i]))
+        x = draw(st.sampled_from(block_a))
+        swaps = [(block_b, y) for block_b in reps[j] if x not in block_b
+                 for y in block_b if y not in block_a]
+        if swaps:
+            block_b, y = draw(st.sampled_from(swaps))
+            block_a[block_a.index(x)], block_b[block_b.index(y)] = y, x
+    return BlockDesign.from_blocks(v, draw(st.permutations([b for rep in reps for b in rep])))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_block_designs())
+@example(BlockDesign.from_blocks(6, [(1, 2, 3), (1, 2, 3), (4, 5, 6), (4, 5, 6)]))
+@example(BlockDesign.from_blocks(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+@example(BlockDesign.from_blocks(3, [(1, 2, 3)] * 4))
+@example(BlockDesign.from_blocks(3, [(1,), (2,), (3,), (3,), (2,), (1,)]))
+@example(BlockDesign.from_blocks(2, [(1, 1), (2, 2)]))
+@example(BlockDesign.from_blocks(4, [(1, 1), (2, 3), (4, 4), (1, 4), (2, 2), (3, 3)]))
+def test_resolution_matches_brute_force(bd):
+    expected = _oracle_resolutions(bd)
+    found = resolution(bd)
+    if found is None:
+        assert expected == set()
+    else:
+        assert tuple(sorted(tuple(sorted(cls)) for cls in found)) in expected
+
+
+def test_exact_covers_on_knuths_example():
+    """The 7-column example of Knuth's "Dancing Links" has one exact cover."""
+    rows = [{3, 5, 6}, {1, 4, 7}, {2, 3, 6}, {1, 4}, {2, 7}, {4, 5, 7}]
+
+    def options(x, covered):
+        return ((i, row) for i, row in enumerate(rows) if x in row and covered.isdisjoint(row))
+
+    covers = list(_exact_covers(range(1, 8), options))
+    assert [[rows[i] for i in cover] for cover in covers] == [[{1, 4}, {2, 7}, {3, 5, 6}]]
+    assert list(_exact_covers(range(1, 8), options, frozenset({1, 4}))) == [[4, 0]]

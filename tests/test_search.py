@@ -155,7 +155,7 @@ def test_disconnecting_swap_scores_inf_and_is_never_taken():
     state = SearchState(_SPLITTABLE)
     assert math.isfinite(state.objective)
     mv = state.score(Move(1, 0, 5, 1, 0))  # 7 <-> 6: replicate 2 becomes replicate 1
-    assert (state.blocks[1][0][5], state.blocks[1][1][0]) == (7, 6)
+    assert (state.blocks[1, 0, 5] + 1, state.blocks[1, 1, 0] + 1) == (7, 6)
     assert mv.objective_after == math.inf and mv.delta == math.inf
     assert not mv.delta <= search._TIE and not math.isfinite(mv.delta)  # the Metropolis rule
     _polish(state, deadline=None)
@@ -177,12 +177,13 @@ def test_disconnecting_swap_scores_without_an_eigendecomposition(monkeypatch):
 
 def test_accept_of_a_disconnecting_swap_raises_and_changes_nothing():
     state = SearchState(_SPLITTABLE)
-    blocks = [[list(b) for b in rep] for rep in state.blocks]
+    blocks = state.blocks.copy()
     pp, objective = state.pp.copy(), state.objective
     mv = state.score(Move(1, 0, 5, 1, 0))
     with pytest.raises(DisconnectedDesignError):
         state.accept(mv)
-    assert state.blocks == blocks and np.array_equal(state.pp, pp) and state.objective == objective
+    assert np.array_equal(state.blocks, blocks) and np.array_equal(state.pp, pp)
+    assert state.objective == objective
 
 
 def test_neighbourhood_matches_score():
@@ -240,7 +241,7 @@ class _OracleState(SearchState):
 
     def score(self, mv):
         self._swap(mv)
-        lam = _concurrence(self.v, [b for rep in self.blocks for b in rep])
+        lam = _concurrence(self.v, self.blocks.reshape(-1, self.k) + 1)
         mv.objective_after = _reciprocal_sum(lam, self.r, self.k)
         self._swap(mv)
         mv.delta = mv.objective_after - self.objective

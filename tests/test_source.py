@@ -47,6 +47,34 @@ def test_one_float_route():
     assert sorted(found) == FLOAT_ROUTES
 
 
+#: the only functions that call themselves: canonical labeling's search tree
+#: and the one exact-cover search every backtracker is a call to
+RECURSIVE = [("canon.py", "canonical_labeling.dfs"), ("core.py", "_exact_covers")]
+
+
+def _self_calling(node, scope=""):
+    """The qualified name of every function whose body calls it by name (or
+    as self.name in a method)."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+            if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) in (child.name, f"self.{child.name}")
+                    for call in ast.walk(child)):
+                yield inner
+        yield from _self_calling(child, inner)
+
+
+def test_one_backtracking_search():
+    found = []
+    for path in sorted(Path(rbdesign.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, name) for name in _self_calling(tree)]
+    assert sorted(found) == RECURSIVE
+
+
 #: the modules a numpy-free verb imports, and what none of them may import at
 #: module level: numpy and the layers built on it
 COLD_MODULES = ("__init__.py", "cli.py", "core.py", "families.py", "refdata.py", "sylvester.py")
