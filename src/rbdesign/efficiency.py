@@ -33,9 +33,10 @@ step's coefficients, and one pass reduces it to symmetric residues in
 float64 (|M| <= q/2 + 2).  The primes are as wide as keeps that step exact,
 up to 48 bits: 42 bits for the 35 x 35 quotients of the v = 36 designs
 and 44 for the 20 x 20 ones.  The Chinese remainder theorem rebuilds the
-integers and one further prime checks them; the per-prime tables are built
-once per size and set of primes.  A comes from the two lowest coefficients
-of the reduced polynomial, rational factors from integer root extraction.
+integers and one further prime checks them; the primes and their tables
+are built once per size, width and bound.  A comes from the two lowest
+coefficients of the reduced polynomial, rational factors from integer root
+extraction.
 The floating-point route is one symmetric eigendecomposition: it gives the float
 A, the annealing objective and the values of the irrational factors, whose
 multiplicities are checked against the exactly-deflated remainder (integer
@@ -50,6 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
@@ -112,58 +114,45 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-#: descending odd primes below 2**width found so far, by width; each value is
-#: replaced, never mutated, so concurrent callers see a consistent prefix
-_PRIMES: dict[int, tuple[int, ...]] = {}
-
-
 def _primes_below(width: int):
-    """Odd primes below 2**width, descending; each is tested once per process."""
-    found = _PRIMES.get(width, ())
-    yield from found
-    q = found[-1] - 2 if found else (1 << width) - 1
-    while q > 2:
+    """Odd primes below 2**width, descending."""
+    for q in range((1 << width) - 1, 2, -2):
         if _is_prime(q):
-            found += (q,)
-            _PRIMES[width] = found
             yield q
-        q -= 2
-
-
-def _moduli(n: int, width: int, bound: int) -> list[int]:
-    """Primes in (n, 2**width), descending, whose product exceeds 2 * bound,
-    then one more: the check prime.  Every prime exceeds n, so 1..n are
-    invertible modulo each."""
-    primes, prod = [], 1
-    for q in _primes_below(width):
-        if q <= n:
-            break
-        primes.append(q)
-        if prod > 2 * bound:
-            return primes
-        prod *= q
-    raise InternalError(f"too few primes below 2**{width} for an exact {n}x{n} "
-                        "characteristic polynomial")
 
 
 @lru_cache(maxsize=64)
-def _prime_table(n: int, primes: tuple[int, ...]) -> tuple:
-    """Tables for n x n matrices modulo primes, the last the check: each prime
-    and its reciprocal per column of [M_1 | ... | M_P], the inverses of 1..n
-    (row k - 1 for k), the (n, P) flat diagonal positions, and the other
-    primes' product and CRT weights.  Built once per process, never mutated."""
+def _prime_table(n: int, width: int, bound: int) -> tuple:
+    """Residue primes and tables for an n x n characteristic polynomial whose
+    coefficients are at most bound in size.  The primes lie in (n, 2**width),
+    descending, until the product of all but the last exceeds 2 * bound; the
+    last is the check prime.  Every prime exceeds n, so 1..n are invertible
+    modulo each.  Returns the primes, each prime and its reciprocal per column
+    of [M_1 | ... | M_P], the inverses of 1..n (row k - 1 for k), the (n, P)
+    flat diagonal positions, and the other primes' product and CRT weights.
+    Built once per process, never mutated."""
+    primes, prod = [], 1
+    for q in takewhile(lambda q: q > n, _primes_below(width)):
+        primes.append(q)
+        if prod > 2 * bound:
+            break
+        prod *= q
+    else:
+        raise InternalError(f"too few primes below 2**{width} for an exact {n}x{n} "
+                            "characteristic polynomial")
     q = np.array(primes, dtype=np.int64)
     qf, qinv = np.repeat([q, 1 / q], n, axis=1)
     diag = np.arange(n)[:, None] * (n * len(q) + 1) + np.arange(0, n * len(q), n)
     for a in (qf, qinv, diag):
         a.flags.writeable = False
     inv = tuple(tuple(pow(k, -1, p) for p in primes) for k in range(1, n + 1))
-    prod = math.prod(primes[:-1])
-    return qf, qinv, inv, diag, prod, tuple(prod // p * pow(prod // p, -1, p) for p in primes[:-1])
+    weights = tuple(prod // p * pow(prod // p, -1, p) for p in primes[:-1])
+    return tuple(primes), qf, qinv, inv, diag, prod, weights
 
 
-def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
-    """Faddeev-LeVerrier modulo each prime: residues of det(xI - C), x^n first.
+def _charpoly_mod(C: np.ndarray, table: tuple) -> np.ndarray:
+    """Faddeev-LeVerrier modulo each prime of _prime_table's table: residues
+    of det(xI - C), x^n first.
 
     C is an integer-valued float64 matrix.  Each step is one float product
     C @ [M_1 | ... | M_P] for all P primes.  Its diagonal gives the traces,
@@ -173,7 +162,7 @@ def _charpoly_mod(C: np.ndarray, primes: list[int]) -> np.ndarray:
     2**53 and n entries sum below 2**63, as _charpoly's width ensures.
     Returns an (n + 1, P) int64 array."""
     n = len(C)
-    qf, qinv, inv, diag, *_ = _prime_table(n, tuple(primes))
+    primes, qf, qinv, inv, diag, *_ = table
     out = np.ones((n + 1, len(primes)), dtype=np.int64)
     M = np.tile(np.eye(n), len(primes))
     for k in range(1, n + 1):
@@ -191,7 +180,7 @@ def _charpoly(C: np.ndarray, nonnegative: bool = False) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - C) of an integer matrix,
     as coefficients from x^n down to x^0; (1,) for a 0 x 0 matrix.
 
-    A bound on the |a_j| fixes how many primes _charpoly_mod needs.  In
+    A bound on the |a_j| fixes how many primes _prime_table picks.  In
     general |a_j| <= binom(n, j) * B^j < (1 + B)^n, with B the largest
     absolute row sum (a bound on every eigenvalue).  When the caller knows
     that all eigenvalues are real and nonnegative (nonnegative=True), a_j is
@@ -219,9 +208,9 @@ def _charpoly(C: np.ndarray, nonnegative: bool = False) -> tuple[int, ...]:
         bound = -(-(n + int(np.trace(C))) ** n // n ** n)  # ceil((1 + tr C / n)^n)
     else:
         bound = (1 + int(np.abs(C).sum(axis=1).max())) ** n
-    primes = _moduli(n, width, bound)
-    residues = _charpoly_mod(C.astype(np.float64), primes)
-    *_, prod, weights = _prime_table(n, tuple(primes))
+    table = _prime_table(n, width, bound)
+    primes, *_, prod, weights = table
+    residues = _charpoly_mod(C.astype(np.float64), table)
     coeffs = []
     for row in residues[:, :-1].tolist():
         x = sum(a * w for a, w in zip(row, weights)) % prod
@@ -308,22 +297,14 @@ class EfficiencySpectrum:
     zero_multiplicity: int
 
 
-def _poly_eval_int(coeffs_low: list[int], x: int) -> int:
-    acc = 0
+def _divide_root(coeffs_low: list[int], t: int) -> tuple[list[int], int]:
+    """Synthetic division by (x - t), low-order first: Horner's partial sums
+    are the quotient's coefficients, and the last, p(t), is the remainder."""
+    acc, out = 0, []
     for c in reversed(coeffs_low):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate_int_root(coeffs_low: list[int], root: int) -> list[int]:
-    """Divide by (x - root); exact synthetic division, low-order first."""
-    high = list(reversed(coeffs_low))
-    out = [high[0]]
-    for c in high[1:]:
-        out.append(c + root * out[-1])
-    if out[-1]:
-        raise InternalError(f"{root} is not a root: deflation remainder {out[-1]}")
-    return list(reversed(out[:-1]))
+        acc = acc * t + c
+        out.append(acc)
+    return out[-2::-1], acc
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -459,9 +440,11 @@ def efficiency_spectrum(design: ResolvableDesign | BlockDesign) -> EfficiencySpe
     for t in range(1, rk + 1):
         mult = 0
         # rem is monic with rem[0] != 0, so an integer root t divides rem[0]
-        while len(rem) > 1 and rem[0] % t == 0 and _poly_eval_int(rem, t) == 0:
-            rem = _deflate_int_root(rem, t)
-            mult += 1
+        while len(rem) > 1 and rem[0] % t == 0:
+            quotient, remainder = _divide_root(rem, t)
+            if remainder:
+                break
+            rem, mult = quotient, mult + 1
         if mult:
             factors.append(SpectrumFactor(Fraction(t, rk), mult, exact=True))
     if len(rem) > 1:

@@ -5,7 +5,8 @@ permutation maps one onto the other.  That is graph isomorphism of the
 bipartite variety-block incidence graph, with repeated blocks collapsed
 into one vertex colored by multiplicity (so a variety permutation
 determines the block permutation and the graph's automorphism group is
-exactly the design's variety-permutation group).
+exactly the design's variety-permutation group).  are_isomorphic rejects a
+pair on its shape or sorted concurrence rows, then compares certificates.
 
 The Sylvester-design predicate checks that a 36-variety, 48-block design
 has concurrence 2 exactly on the edges of a graph isomorphic to the
@@ -90,14 +91,12 @@ def _same_rows(m1: np.ndarray, m2: np.ndarray) -> bool:
 def are_isomorphic(d1, d2) -> bool:
     """Isomorphism test with cheap invariant rejection before canonization.
 
-    Shape mismatch (v, r, k) is simply non-isomorphic; then concurrence
-    row multisets and the spectrum must agree before certificates are
-    compared."""
+    Shape mismatch (v, r, k) is simply non-isomorphic; then the concurrence
+    row multisets must agree before certificates are compared.  No spectrum
+    test: on no same-shape catalog or dual pair would it decide first."""
     if design_parameters(d1) != design_parameters(d2):
         return False
     if not _same_rows(concurrence_matrix(d1), concurrence_matrix(d2)):
-        return False
-    if not same_spectrum(d1, d2):
         return False
     return canonical_form(d1).certificate == canonical_form(d2).certificate
 

@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, and output determinism."""
 
+import contextlib
 import hashlib
 import io
 import os
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rbdesign
-from rbdesign import gamma_design, read_design, validate, write_design
+from rbdesign import ResolvableDesign, gamma_design, read_design, validate, write_design
 from rbdesign.cli import run
 from rbdesign.search import random_resolvable
 
@@ -341,6 +342,39 @@ def test_fuzzed_design_files_end_in_an_exit_code(tmp_path_factory, text):
         code, out = invoke(verb, str(path))
         assert code in range(5), verb
         assert invoke(verb, str(path)) == (code, out), verb
+
+
+def _shuffled_design_text(v, k, r, seed):
+    """write_design text of a random resolvable design with its replicates,
+    and the blocks within each, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    reps = [[rep[i] for i in rng.permutation(v // k)]
+            for rep in random_resolvable(v, k, r, rng).replicates]
+    return write_design(ResolvableDesign.from_replicates(
+        [reps[i] for i in rng.permutation(r)], v=v, k=k, label="shuffled"))
+
+
+@st.composite
+def _dual_files(draw):
+    k = draw(st.sampled_from([2, 4, 8]))
+    return _shuffled_design_text(k * draw(st.integers(1, 64 // k)), k, draw(st.integers(1, 8)),
+                                 draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60)
+@given(_dual_files())
+@example(_shuffled_design_text(64, 2, 8, 0))
+@example(_shuffled_design_text(64, 8, 8, 0))
+def test_fuzzed_dual_up_to_64_varieties(tmp_path_factory, text):
+    # the resolution search behind `dual` finishes on the largest files the
+    # CLI admits, and prints the same bytes when run again
+    path = tmp_path_factory.getbasetemp() / "fuzzed-dual.txt"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        first, second = invoke("dual", str(path)), invoke("dual", str(path))
+    assert first[0] == 0 and first == second
+    assert "Traceback" not in first[1] + err.getvalue()
 
 
 def test_search_verb_deterministic_and_seed_echoed():

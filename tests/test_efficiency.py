@@ -183,12 +183,13 @@ def test_quotient_charpoly_matches_oracle(design):
 
 
 def test_prime_table_is_built_once_and_never_mutated():
-    primes = (13, 11, 7)
-    table = efficiency._prime_table(6, primes)
-    assert efficiency._prime_table(6, primes) is table
-    qf, qinv, inv, diag, prod, weights = table
-    assert len(efficiency._prime_table(2, primes)[2]) == 2
-    assert efficiency._prime_table(3, primes)[2] == inv[:3]
+    # the primes below 2**4 above 6, until all but the check pass 2 * 50
+    table = efficiency._prime_table(6, 4, 50)
+    assert efficiency._prime_table(6, 4, 50) is table
+    primes, qf, qinv, inv, diag, prod, weights = table
+    assert primes == (13, 11, 7)
+    assert len(efficiency._prime_table(2, 4, 50)[3]) == 2
+    assert efficiency._prime_table(3, 4, 50)[3] == inv[:3]
     k = np.arange(1, 7)[:, None]
     assert np.shape(inv) == (6, 3) and (k * np.array(inv) % primes == 1).all()
     # the CRT weights of 13 and 11 (7 is the check): 1 modulo their own prime
@@ -205,6 +206,23 @@ def test_prime_table_is_built_once_and_never_mutated():
             a[0] = 1
     assert isinstance(inv, tuple) and all(isinstance(row, tuple) for row in inv)
     assert isinstance(weights, tuple)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(6, 24), st.integers(1, 2**200))
+@example(10, 5, 2**40)
+def test_prime_table_picks_the_fewest_primes_above_n(n, width, bound):
+    # the first primes below 2**width, all above n; all but the check
+    # multiply past 2 * bound, and without the last CRT prime they would not.
+    # (10, 2**5) holds only 11 ... 31: too few for 2**40
+    above = [q for q in islice(efficiency._primes_below(width), 200) if q > n]
+    if math.prod(above[:-1]) <= 2 * bound:
+        with pytest.raises(InternalError, match="too few primes"):
+            efficiency._prime_table(n, width, bound)
+        return
+    primes, *_, prod, _ = efficiency._prime_table(n, width, bound)
+    assert list(primes) == above[:len(primes)]
+    assert prod == math.prod(primes[:-1]) > 2 * bound >= math.prod(primes[:-2])
 
 
 @st.composite
@@ -235,16 +253,17 @@ def _near(c: int, residue: int, q: int) -> int:
     return c - (c - residue) % q
 
 
-def _moduli_calls(monkeypatch) -> list[tuple[int, int, list[int]]]:
-    """Spy on _moduli: the list it returns gets (width, bound, primes) of
-    each call."""
-    calls, true_moduli = [], efficiency._moduli
+def _prime_table_calls(monkeypatch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Spy on _prime_table: the list it returns gets (width, bound, primes)
+    of each call."""
+    calls, true_table = [], efficiency._prime_table
 
     def spy(n, width, bound):
-        calls.append((width, bound, true_moduli(n, width, bound)))
-        return calls[-1][2]
+        table = true_table(n, width, bound)
+        calls.append((width, bound, table[0]))
+        return table
 
-    monkeypatch.setattr(efficiency, "_moduli", spy)
+    monkeypatch.setattr(efficiency, "_prime_table", spy)
     return calls
 
 
@@ -252,7 +271,7 @@ def _moduli_calls(monkeypatch) -> list[tuple[int, int, list[int]]]:
 def test_charpoly_exact_for_large_entries(monkeypatch, n):
     # entries near 2**30 leave room for narrower primes only: n * 2**30 * 2**48
     # would pass 2**53, the largest sum a float64 product keeps exact
-    moduli = _moduli_calls(monkeypatch)
+    moduli = _prime_table_calls(monkeypatch)
     rng = np.random.default_rng(n)
     for C in (rng.integers(-2**30, 2**30, size=(n, n)), np.full((n, n), 2**30),
               np.diag([2**30 - 1] * n) - 2**29, rng.integers(2**29, 2**30, size=(n, n))):
@@ -271,7 +290,7 @@ def test_charpoly_psd_bound_on_design_matrices(monkeypatch):
     # semidefinite, and its 35 x 35 quotient modulo 1_v keeps the trace and
     # every eigenvalue but the 0: (1 + 1440/35)^35 needs 5 primes of 42 bits
     # and the check; the quotient's row sum bound (1 + 51)^35 is larger
-    calls = _moduli_calls(monkeypatch)
+    calls = _prime_table_calls(monkeypatch)
     d = gamma_design(8, "RC")
     assert characteristic_polynomial(d) == _oracle_information(_information(d))
     [(width, bound, primes)] = calls
@@ -282,7 +301,7 @@ def test_charpoly_keeps_the_row_sum_bound_off_psd(monkeypatch):
     # a signed random matrix, and a symmetric one with a nonnegative diagonal
     # and zero row sums that is not positive semidefinite (eigenvalues 3, 0
     # and -1), take (1 + B)^n
-    calls = _moduli_calls(monkeypatch)
+    calls = _prime_table_calls(monkeypatch)
     rng = np.random.default_rng(5)
     signed = rng.integers(-9, 10, size=(8, 8))
     indefinite = np.array([[0, 1, -1], [1, 0, -1], [-1, -1, 2]])
@@ -299,12 +318,12 @@ def test_charpoly_width_keeps_the_one_pass_step_exact(monkeypatch, n, c_max):
     # 2**53, and n times it below 2**63.  The second never binds below
     # n = 2**10; at c_max = 1 it first binds at n = 1449.  The kernel is
     # stubbed out: only the width is checked
-    moduli = _moduli_calls(monkeypatch)
+    moduli = _prime_table_calls(monkeypatch)
 
     class Stubbed(Exception):
         pass
 
-    def stub(C, primes):
+    def stub(C, table):
         raise Stubbed
 
     monkeypatch.setattr(efficiency, "_charpoly_mod", stub)
@@ -363,7 +382,10 @@ def test_charpoly_mod_exact_at_the_float_limit(width):
         if width > 21:
             assert _widest_iterate(C, q) > 0.99 * q / 2
         expected = np.array(_oracle_charpoly(C), dtype=object)
-        residues = efficiency._charpoly_mod(C.astype(np.float64), primes)
+        # a bound of q takes exactly the three primes
+        table = efficiency._prime_table(len(C), width, q)
+        assert table[0] == tuple(primes)
+        residues = efficiency._charpoly_mod(C.astype(np.float64), table)
         for col, p in enumerate(primes):
             assert residues[:, col].tolist() == (expected % p).tolist(), (len(C), p)
 
@@ -429,20 +451,20 @@ def test_charpoly_rejects_entries_beyond_exact_products():
 @pytest.mark.parametrize("fault", ["residue", "check_residue", "too_few_primes"])
 def test_charpoly_check_prime_catches_faults(monkeypatch, fault):
     C = _information(gamma_design(5, "RC"))
-    true_mod, true_moduli = efficiency._charpoly_mod, efficiency._moduli
+    true_mod, true_table = efficiency._charpoly_mod, efficiency._prime_table
 
-    def faulty_mod(A, primes):
-        out = true_mod(A, primes).copy()
+    def faulty_mod(A, table):
+        out = true_mod(A, table).copy()
         col = -1 if fault == "check_residue" else 0
-        out[7, col] = (out[7, col] + 1) % primes[col]
+        out[7, col] = (out[7, col] + 1) % table[0][col]
         return out
 
-    def faulty_moduli(n, width, bound):
-        primes = true_moduli(n, width, bound)
-        return primes[:2] + primes[-1:]
+    def faulty_table(n, width, bound):
+        # a bound of 1 takes one CRT prime and the check
+        return true_table(n, width, 1)
 
     if fault == "too_few_primes":
-        monkeypatch.setattr(efficiency, "_moduli", faulty_moduli)
+        monkeypatch.setattr(efficiency, "_prime_table", faulty_table)
     else:
         monkeypatch.setattr(efficiency, "_charpoly_mod", faulty_mod)
     with pytest.raises(InternalError, match="check modulo"):
@@ -577,9 +599,8 @@ def test_exact_invariant_failures_raise():
                 np.array([[1.5, 0.0], [0.0, 1.0]]), np.eye(3)):
         with pytest.raises(InternalError, match="non-integer"):
             efficiency._charpoly(bad)
-    # 1 is not a root of x^2 - 2
-    with pytest.raises(InternalError, match="not a root"):
-        efficiency._deflate_int_root([-2, 0, 1], 1)
+    # 1 is not a root of x^2 - 2 = (x + 1)(x - 1) - 1
+    assert efficiency._divide_root([-2, 0, 1], 1) == ([1, 1], -1)
 
 
 @pytest.mark.parametrize("factors, profile", [
@@ -724,9 +745,9 @@ def test_fast_path_work_counts(monkeypatch):
     # modulo _GCD_PRIME and the root scan evaluates only divisors of the
     # constant term; exact counts, so no host speed moves this pin
     evals, gcds = [], []
-    true_eval, true_gcd = efficiency._poly_eval_int, efficiency._poly_gcd
-    monkeypatch.setattr(efficiency, "_poly_eval_int",
-                        lambda c, t: evals.append(c[0] % t) or true_eval(c, t))
+    true_divide, true_gcd = efficiency._divide_root, efficiency._poly_gcd
+    monkeypatch.setattr(efficiency, "_divide_root",
+                        lambda c, t: evals.append(c[0] % t) or true_divide(c, t))
     monkeypatch.setattr(efficiency, "_poly_gcd", lambda a, b: gcds.append(1) or true_gcd(a, b))
     rng = np.random.default_rng(22)
     for r in [4] * 10 + [8] * 10:

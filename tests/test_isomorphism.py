@@ -1,6 +1,7 @@
 """Canonical forms, automorphism groups, and structural design predicates."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,13 +10,14 @@ from rbdesign import (
     are_isomorphic,
     automorphism_order,
     canonical_form,
+    catalog,
     concurrence_equivalent,
     delta_design,
     gamma_design,
     is_sylvester_design,
     same_spectrum,
 )
-from rbdesign import isomorphism
+from rbdesign import efficiency, isomorphism
 from rbdesign.core import ResolvableDesign
 from rbdesign.canon import canonical_labeling
 from rbdesign.sylvester import sylvester_graph
@@ -148,6 +150,36 @@ def test_concurrence_rows_answer_before_any_labeling(monkeypatch):
     monkeypatch.setattr(isomorphism, "canonical_labeling", refuse)
     assert not concurrence_equivalent(gamma_design(5, "RC"), delta_design(5, "RC"))
     assert not are_isomorphic(gamma_design(5, "RC"), delta_design(5, "RC"))
+
+
+#: the isomorphism classes of the catalog with more than one member: the
+#: lattice in six guises, and five row-column pairs
+ISOMORPHIC_CATALOG_CLASSES = (
+    {"gamma-r-2", "gamma-c-2", "gamma-rc-2", "delta-r-2", "delta-c-2", "delta-rc-2"},
+    {"gamma-r-7", "gamma-c-7"}, {"gamma-rc-3", "delta-rc-3"}, {"delta-r-3", "delta-c-3"},
+    {"delta-r-5", "delta-c-5"}, {"delta-r-7", "delta-c-7"},
+)
+
+
+def test_verdicts_need_no_characteristic_polynomial(monkeypatch):
+    # the concurrence rows or the certificates decide every same-shape
+    # catalog pair and every relabelled copy; no spectrum is compared.  The
+    # copies are of the r = 2, 3, 6 and 8 designs: labeling the relabelled
+    # r = 4, 5 and 7 designs would add about 7 s
+    def refuse(*args, **kwargs):
+        raise AssertionError("characteristic polynomial computed")
+
+    monkeypatch.setattr(efficiency, "_charpoly", refuse)
+    entries = catalog()
+    same_shape = [(a, b) for a, b in combinations(entries, 2)
+                  if (a.design.v, a.design.r, a.design.k) == (b.design.v, b.design.r, b.design.k)]
+    assert len(same_shape) == 166
+    found = {frozenset((a.name, b.name)) for a, b in same_shape if are_isomorphic(a.design, b.design)}
+    assert found == {frozenset(pair) for names in ISOMORPHIC_CATALOG_CLASSES
+                     for pair in combinations(names, 2)}
+    for e in entries:
+        if e.design.r in (2, 3, 6, 8):
+            assert are_isomorphic(e.design, _relabel(e.design, 2)), e.name
 
 
 def test_sylvester_design_predicate(gamma_rc_8, theta8, delta_rc_8):

@@ -75,6 +75,70 @@ def test_one_backtracking_search():
     assert sorted(found) == RECURSIVE
 
 
+#: methods that change a list, dict or set in place
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault",
+            "popitem", "add", "discard", "sort", "reverse"}
+
+
+def _flat(targets):
+    """Assignment targets with tuple and starred targets unpacked."""
+    for t in targets:
+        if isinstance(t, (ast.Tuple, ast.List)):
+            yield from _flat(t.elts)
+        else:
+            yield t.value if isinstance(t, ast.Starred) else t
+
+
+def _root(node):
+    """The name an attribute or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(tree, module):
+    """'module.function: statement' for every write from a function body into
+    a name the module binds by assignment: an item or attribute stored or
+    deleted, a mutating method called, or the name rebound through global."""
+    names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in _flat(node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(t, ast.Name)}
+    functions = [(f"{module}.{node.name}", node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    functions += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope, func in functions:
+        rebound = {name for node in ast.walk(func) if isinstance(node, ast.Global)
+                   for name in node.names}
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                if any(t.id in rebound if isinstance(t, ast.Name) else _root(t) in names
+                       for t in _flat(targets)):
+                    yield f"{scope}: {ast.unparse(node)}"
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and _root(node.func.value) in names):
+                yield f"{scope}: {ast.unparse(node)}"
+
+
+def test_process_caches_are_functools_caches():
+    # process-wide state lives in functools caches, never in a module-level
+    # dict, list or set that functions fill
+    tree = ast.parse("T = {}\nL: list = []\nN = 0\nimport numpy as np\n"
+                     "def f(x):\n    T[x] = 1\n    del T[x]\n    L.append(x)\n"
+                     "    T[x].add(x)\n    np.append(L, x)\n    y = {}\n    y[x] = T[x]\n"
+                     "class C:\n    def m(self):\n        global N\n        N += 1\n"
+                     "        globals()['N'] = 2\n")
+    assert list(_module_state_writes(tree, "m")) == [
+        "m.f: T[x] = 1", "m.f: del T[x]", "m.f: L.append(x)", "m.f: T[x].add(x)",
+        "m.C.m: N += 1"]
+    found = []
+    for path in sorted(Path(rbdesign.__file__).parent.rglob("*.py")):
+        found += _module_state_writes(ast.parse(path.read_text()), path.stem)
+    assert found == []
+
+
 #: the modules a numpy-free verb imports, and what none of them may import at
 #: module level: numpy and the layers built on it
 COLD_MODULES = ("__init__.py", "cli.py", "core.py", "families.py", "refdata.py", "sylvester.py")
